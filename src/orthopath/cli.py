@@ -35,7 +35,13 @@ from .positivity import (
     certify_monic,
     required_window,
 )
-from .scalars import UnsupportedDomainError, format_scalar, scalar_div
+from .scalars import (
+    DomainMismatchError,
+    UnsupportedDomainError,
+    format_scalar,
+    scalar_div,
+    scalar_sum,
+)
 from .systems import (
     CoefficientSystem,
     SequenceRangeError,
@@ -45,12 +51,12 @@ from .systems import (
 )
 from .weights import (
     dp_sum,
+    mixed_prefactor,
     path_sum_mixed,
     path_sum_monic,
     path_weight_merged,
     path_weight_mixed,
     path_weight_monic,
-    strict_monic_weight_sum,
 )
 
 EXIT_OK = 0
@@ -160,15 +166,26 @@ def _cmd_connect(args: argparse.Namespace) -> int:
 
 # -- verify ----------------------------------------------------------------
 
+# Each instance enumerates and weighs its census once.  The informational
+# routes reuse those weights: the strict census is the subset of the
+# boundary-dip census that stays on the axis, and the k-indexed prefactor
+# multiplies the same weight sum.  The binding routes stay independent:
+# the DP reads no enumeration result, the oracle reads neither, and one
+# oracle expansion serves every target k (or n) of its product.
+
 def _verify_monic_records(sys_: CoefficientSystem, top: int) -> Iterable[dict]:
     b, lam = monic_b_lambda(sys_, 2 * top + 2)
     for m in range(top + 1):
         for n in range(top + 1):
+            table = oracle.expand_product(m, n, sys_)
             for k in range(top + 1):
-                want = oracle.triple_product_value(m, n, k, sys_)
+                # triple_product_value(m, n, k)
+                want = table.coefficient(k) * sys_.norm_squared(k)
                 res = path_sum_monic(m, n, k, b, lam)
                 dp = res.prefactor * dp_sum(m, n, k, "monic", sys_)
-                strict = res.prefactor * strict_monic_weight_sum(m, n, k, b, lam)
+                strict = res.prefactor * scalar_sum(
+                    w for path, w in res.per_path.items() if path.is_standard()
+                )
                 base = {"method": "monic", "m": m, "n": n, "k": k,
                         "oracle": format_scalar(want)}
                 yield dict(base, route="oracle", value=format_scalar(want),
@@ -187,12 +204,18 @@ def _verify_mixed_records(
     sys_: CoefficientSystem, prime: CoefficientSystem, top: int
 ) -> Iterable[dict]:
     for m in range(top + 1):
+        tables = {}
         for n in range(top + 1):
             for k in range(top + 1):
-                want = oracle.mixed_product_value(m, n, k, sys_, prime)
+                if k not in tables:
+                    tables[k] = oracle.mixed_expand(m, k, sys_, prime)
+                # mixed_product_value(m, n, k)
+                want = tables[k].coefficient(n) * sys_.norm_squared(n)
                 res = path_sum_mixed(m, n, k, sys_, prime)
                 dp = res.prefactor * dp_sum(m, n, k, "mixed", sys_, prime)
-                alt = path_sum_mixed(m, n, k, sys_, prime, k_indexed_prefactor=True)
+                alt = mixed_prefactor(
+                    m, k, sys_, prime, k_indexed_prefactor=True
+                ) * res.weight_sum
                 base = {"method": "mixed", "m": m, "n": n, "k": k,
                         "oracle": format_scalar(want)}
                 yield dict(base, route="oracle", value=format_scalar(want),
@@ -203,8 +226,8 @@ def _verify_mixed_records(
                 yield dict(base, route="dp", value=format_scalar(dp),
                            match=dp == want)
                 yield dict(base, route="k-indexed-prefactor",
-                           value=format_scalar(alt.total),
-                           match=alt.total == want)
+                           value=format_scalar(alt),
+                           match=alt == want)
 
 
 # Routes that bind the exit status.  The strict path census and the
@@ -227,7 +250,14 @@ def _verify_row(rec: dict) -> tuple:
     )
 
 
+def _require_nonnegative_max(args: argparse.Namespace) -> None:
+    # an empty range would pass vacuously
+    if args.max < 0:
+        raise ValueError(f"--max must be nonnegative, got {args.max}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _require_nonnegative_max(args)
     sys_ = _load(args)
 
     def streams() -> Iterable[dict]:
@@ -435,6 +465,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 # -- moments -----------------------------------------------------------------
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    _require_nonnegative_max(args)
     sys_ = _load(args)
     rows = [
         (str(n), format_scalar(oracle.moments(n, sys_)))
@@ -578,6 +609,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         KeyError,
         OSError,
         SequenceRangeError,
+        DomainMismatchError,
         UnsupportedDomainError,
         ZeroDivisionError,
         json.JSONDecodeError,

@@ -13,6 +13,12 @@ out as the coefficient of p_0.  The moment functional is normalized by
 mu_0 = 1 (any positive constant would cancel in the coefficients).
 
 A BasisVector is a plain dict from basis index to a nonzero Scalar.
+
+Each system keeps what the oracle has computed for it: the vectors
+p_m * q_j for j = 0, 1, ... (one run of the recurrence serves every j)
+and the moment sequence, both extended on demand.  Repeated queries
+therefore cost a lookup, and ``moments(n)`` for n = 0..N walks the
+multiplication-by-x chain once.
 """
 
 from __future__ import annotations
@@ -37,11 +43,16 @@ def _acc(vec: BasisVector, idx: int, value: Scalar) -> None:
 def multiply_by_x(vec: BasisVector, sys: CoefficientSystem) -> BasisVector:
     """Exact image of multiplication by x in the p-basis."""
     out: BasisVector = {}
+    if not vec:
+        return out
+    if min(vec) < 0:
+        raise ValueError("basis indices must be nonnegative")
+    alpha, beta, gamma = sys.materialize(max(vec) + 1)
     for t, c in vec.items():
-        _acc(out, t + 1, c * sys.alpha.at(t + 1))
-        _acc(out, t, c * sys.beta.at(t))
+        _acc(out, t + 1, c * alpha[t + 1])
+        _acc(out, t, c * beta[t])
         if t >= 1:
-            _acc(out, t - 1, c * sys.gamma.at(t - 1))
+            _acc(out, t - 1, c * gamma[t - 1])
     return out
 
 
@@ -60,22 +71,33 @@ def _sub(a: BasisVector, b: BasisVector) -> BasisVector:
 
 def _product_vectors(
     m: int, top: int, sys: CoefficientSystem, primed: CoefficientSystem
-) -> List[BasisVector]:
-    """Vectors p_m * q_j for j = 0..top, where q runs the ``primed`` recurrence
-    and the expansion lives in the (unprimed) p-basis of ``sys``."""
+) -> Tuple[BasisVector, ...]:
+    """Vectors p_m * q_j for j = 0..top (or more), where q runs the
+    ``primed`` recurrence and the expansion lives in the (unprimed) p-basis
+    of ``sys``.  Kept on ``sys`` and extended on demand; never mutate them."""
     sys.require_range(m + top + 1)
     primed.require_range(top)
-    vecs: List[BasisVector] = [{m: 1}]
-    prev: BasisVector = {}
-    for j in range(top):
-        cur = vecs[-1]
-        nxt = _sub(multiply_by_x(cur, sys), _scale(cur, primed.beta.at(j)))
-        if j >= 1:
-            nxt = _sub(nxt, _scale(prev, primed.gamma.at(j - 1)))
-        alpha = primed.alpha.at(j + 1)
-        nxt = {t: scalar_div(c, alpha) for t, c in nxt.items()}
-        prev = cur
-        vecs.append(nxt)
+    # keyed by identity; the entry keeps primed alive (a system needs no
+    # reference to itself) and is used only if it holds this very object
+    memo = sys.memo()
+    key = ("products", m, id(primed))
+    owner = None if primed is sys else primed
+    entry = memo.get(key)
+    vecs: Tuple[BasisVector, ...] = (
+        entry[1] if entry and entry[0] is owner else ({m: 1},)
+    )
+    if len(vecs) <= top:
+        alpha, beta, gamma = primed.materialize(top)
+        grown = list(vecs)
+        for j in range(len(vecs) - 1, top):
+            cur = grown[-1]
+            nxt = _sub(multiply_by_x(cur, sys), _scale(cur, beta[j]))
+            if j >= 1:
+                nxt = _sub(nxt, _scale(grown[-2], gamma[j - 1]))
+            nxt = {t: scalar_div(c, alpha[j + 1]) for t, c in nxt.items()}
+            grown.append(nxt)
+        vecs = tuple(grown)
+        memo[key] = (owner, vecs)
     return vecs
 
 
@@ -135,7 +157,7 @@ def connection_expand(
     """p'_{k'} expressed in the p-basis of ``sys``."""
     if k_prime < 0:
         raise ValueError("index must be nonnegative")
-    return _product_vectors(0, k_prime, sys, sys_prime)[k_prime]
+    return dict(_product_vectors(0, k_prime, sys, sys_prime)[k_prime])
 
 
 def mixed_expand(
@@ -152,10 +174,16 @@ def moments(n: int, sys: CoefficientSystem) -> Scalar:
     """The n-th moment mu_n = L(x^n), with mu_0 = 1."""
     if n < 0:
         raise ValueError("moment index must be nonnegative")
-    vec: BasisVector = {0: 1}
-    for _ in range(n):
-        vec = multiply_by_x(vec, sys)
-    return vec.get(0, 0)
+    memo = sys.memo()
+    mus, vec = memo.get("moments", ((1,), {0: 1}))
+    if len(mus) <= n:
+        grown = list(mus)
+        while len(grown) <= n:
+            vec = multiply_by_x(vec, sys)
+            grown.append(vec.get(0, 0))
+        mus = tuple(grown)
+        memo["moments"] = (mus, vec)
+    return mus[n]
 
 
 def triple_product_value(m: int, n: int, k: int, sys: CoefficientSystem) -> Scalar:

@@ -68,37 +68,36 @@ def check_monic_monotone(
     b: SequenceSpec, lam: SequenceSpec, window: int, strict: bool = False
 ) -> HypothesisReport:
     """lam[j] > 0 and both sequences increasing across the window."""
+    lv = lam.require(1, window)
+    bv = b.require(0, window) if window else ()
     bad: List[Violation] = []
     for j in range(1, window + 1):
-        if scalar_sign(lam.at(j)) <= 0:
-            bad.append(Violation("lam positive", j, j, lam.at(j), 0))
+        if scalar_sign(lv[j]) <= 0:
+            bad.append(Violation("lam positive", j, j, lv[j], 0))
     for j in range(1, window):
-        if not _cmp_ok(lam.at(j), lam.at(j + 1), strict):
-            bad.append(Violation("lam increasing", j, j + 1, lam.at(j), lam.at(j + 1)))
+        if not _cmp_ok(lv[j], lv[j + 1], strict):
+            bad.append(Violation("lam increasing", j, j + 1, lv[j], lv[j + 1]))
     for j in range(window):
-        if not _cmp_ok(b.at(j), b.at(j + 1), strict):
-            bad.append(Violation("b increasing", j, j + 1, b.at(j), b.at(j + 1)))
+        if not _cmp_ok(bv[j], bv[j + 1], strict):
+            bad.append(Violation("b increasing", j, j + 1, bv[j], bv[j + 1]))
     return HypothesisReport("monic-monotone", window, strict, not bad, tuple(bad))
 
 
-def _positivity_violations(
-    sys: CoefficientSystem, sys_prime: CoefficientSystem, window: int
-) -> List[Violation]:
+def _raw(sys: CoefficientSystem, window: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The raw alpha (index 0 included), beta and gamma over 0..window."""
+    return tuple(seq.require(0, window) for seq in (sys.alpha, sys.beta, sys.gamma))
+
+
+def _positivity_violations(a, g, ap, gp, window: int) -> List[Violation]:
     bad: List[Violation] = []
-    for name, seq in (
-        ("alpha positive", sys.alpha),
-        ("alpha' positive", sys_prime.alpha),
-    ):
+    for name, seq in (("alpha positive", a), ("alpha' positive", ap)):
         for i in range(1, window + 1):
-            if scalar_sign(seq.at(i)) <= 0:
-                bad.append(Violation(name, i, i, seq.at(i), 0))
-    for name, seq in (
-        ("gamma positive", sys.gamma),
-        ("gamma' positive", sys_prime.gamma),
-    ):
+            if scalar_sign(seq[i]) <= 0:
+                bad.append(Violation(name, i, i, seq[i], 0))
+    for name, seq in (("gamma positive", g), ("gamma' positive", gp)):
         for i in range(window + 1):
-            if scalar_sign(seq.at(i)) <= 0:
-                bad.append(Violation(name, i, i, seq.at(i), 0))
+            if scalar_sign(seq[i]) <= 0:
+                bad.append(Violation(name, i, i, seq[i], 0))
     return bad
 
 
@@ -109,18 +108,16 @@ def check_dominance(
     strict: bool = False,
 ) -> HypothesisReport:
     """The four two-family inequality sets over all window pairs j >= i."""
-    bad = _positivity_violations(sys, sys_prime, window)
+    a, b, g = _raw(sys, window)
+    ap, bp, gp = _raw(sys_prime, window)
+    bad = _positivity_violations(a, g, ap, gp, window)
     for i in range(window + 1):
         for j in range(i, window + 1):
             pairs = (
-                ("beta >= beta'", sys_prime.beta.at(i), sys.beta.at(j)),
-                ("alpha >= alpha'", sys_prime.alpha.at(i), sys.alpha.at(j)),
-                (
-                    "alpha+gamma >= alpha'+gamma'",
-                    sys_prime.alpha.at(i) + sys_prime.gamma.at(i),
-                    sys.alpha.at(j) + sys.gamma.at(j),
-                ),
-                ("gamma >= alpha'", sys_prime.alpha.at(i), sys.gamma.at(j)),
+                ("beta >= beta'", bp[i], b[j]),
+                ("alpha >= alpha'", ap[i], a[j]),
+                ("alpha+gamma >= alpha'+gamma'", ap[i] + gp[i], a[j] + g[j]),
+                ("gamma >= alpha'", ap[i], g[j]),
             )
             for name, small, big in pairs:
                 if not _cmp_ok(small, big, strict):
@@ -135,11 +132,13 @@ def check_parity_dominance(
     strict: bool = False,
 ) -> HypothesisReport:
     """Both betas identically 0 plus the parity-split dominance inequalities."""
-    bad = _positivity_violations(sys, sys_prime, window)
-    for name, seq in (("beta = 0", sys.beta), ("beta' = 0", sys_prime.beta)):
+    a, b, g = _raw(sys, window)
+    ap, bp, gp = _raw(sys_prime, window)
+    bad = _positivity_violations(a, g, ap, gp, window)
+    for name, seq in (("beta = 0", b), ("beta' = 0", bp)):
         for i in range(window + 1):
-            if seq.at(i) != 0:
-                bad.append(Violation(name, i, i, seq.at(i), 0))
+            if seq[i] != 0:
+                bad.append(Violation(name, i, i, seq[i], 0))
     for parity in (0, 1):
         i = parity
         while i <= window:
@@ -147,12 +146,11 @@ def check_parity_dominance(
             while j <= window:
                 pairs = (
                     (f"alpha >= alpha' ({'even' if parity == 0 else 'odd'})",
-                     sys_prime.alpha.at(i), sys.alpha.at(j)),
+                     ap[i], a[j]),
                     (f"alpha+gamma >= alpha'+gamma' ({'even' if parity == 0 else 'odd'})",
-                     sys_prime.alpha.at(i) + sys_prime.gamma.at(i),
-                     sys.alpha.at(j) + sys.gamma.at(j)),
+                     ap[i] + gp[i], a[j] + g[j]),
                     (f"gamma >= alpha' ({'even' if parity == 0 else 'odd'})",
-                     sys_prime.alpha.at(i), sys.gamma.at(j)),
+                     ap[i], g[j]),
                 )
                 for name, small, big in pairs:
                     if not _cmp_ok(small, big, strict):

@@ -99,6 +99,14 @@ class Poly:
                     clean[mono] = coeff
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: Dict[Monomial, int]) -> "Poly":
+        """Wrap a dict already in canonical form (int coefficients, no
+        zeros) without re-validating it; for ring-operation results."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -148,12 +156,12 @@ class Poly:
                 out[mono] = new
             else:
                 out.pop(mono, None)
-        return Poly(out)
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()})
+        return Poly._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "Poly":
         rhs = self._coerce(other)
@@ -180,7 +188,7 @@ class Poly:
                     out[mono] = new
                 else:
                     out.pop(mono, None)
-        return Poly(out)
+        return Poly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -255,13 +263,19 @@ def indet(family: str, index: int) -> Poly:
 # -- parsing ------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^([a-z]+'?)(\d+)(?:\^(\d+))?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational from its canonical "p/q" rendering (q omitted when 1)."""
+    """Parse a rational from its canonical "p/q" rendering (q omitted when 1).
+
+    Surrounding whitespace aside, only an optional minus sign, digits and
+    one slash are accepted: no decimal point, exponent, plus sign or
+    digit separator.
+    """
     text = text.strip()
-    if "." in text:
-        raise ValueError(f"rationals must be decimal-free: {text!r}")
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
     return Fraction(text)
 
 

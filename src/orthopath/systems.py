@@ -15,6 +15,15 @@ constant, symbolic family), are immutable, and evaluate eagerly: an
 explicit list raises :class:`SequenceRangeError` on any out-of-range
 index rather than extending silently.
 
+Hot loops do not evaluate ``at`` per edge.  ``materialize(top)`` turns a
+sequence, or a whole system, into plain tuples over indices 0..top,
+computed once from ``at``, kept on the instance and extended on demand;
+integral rationals are stored as ``int`` so numeric and symbolic values
+mix exactly.  An index outside a sequence (past the end of an explicit
+list, or below the start of a shifted view) is held as a placeholder
+that raises the same :class:`SequenceRangeError` as ``at`` when it is
+used, so a short sequence fails exactly where direct evaluation did.
+
 JSON wire format for a system file::
 
     {"label": "hermite-like",
@@ -37,7 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Iterator, NamedTuple, Tuple, Union
 
 from .scalars import (
     FAMILIES,
@@ -48,7 +57,6 @@ from .scalars import (
     indet,
     parse_rational,
     scalar_div,
-    scalar_product,
     scalar_sign,
 )
 
@@ -57,8 +65,95 @@ class SequenceRangeError(IndexError):
     """An explicit coefficient list was asked for an index it does not hold."""
 
 
+def _normalized(x: Scalar) -> Scalar:
+    """Integral rationals as ``int``; every other scalar unchanged."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+class _OutOfRange:
+    """A materialized entry for an index outside its sequence.
+
+    Using it in arithmetic or a comparison raises the
+    :class:`SequenceRangeError` that evaluating the index raised.
+    """
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+
+    def fail(self, *_: object):
+        raise SequenceRangeError(self.message)
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = fail
+    __neg__ = __eq__ = __ne__ = fail
+    __hash__ = None
+
+
+def _present(value: Scalar) -> Scalar:
+    """A materialized entry, or the range error of a placeholder."""
+    if type(value) is _OutOfRange:
+        value.fail()
+    return value
+
+
+def _entries(values: Tuple[Scalar, ...], lo: int, hi: int) -> Iterator[Scalar]:
+    """values[lo..hi] in index order, raising at the first out-of-range one."""
+    return map(_present, values[lo : hi + 1])
+
+
+def _memo(obj: object) -> dict:
+    """The cache of an immutable object, created on first use.
+
+    It holds values derived from the object's fields only, so equal
+    objects cache equal values; a race between threads recomputes an
+    entry, it never corrupts one.
+    """
+    memo = obj.__dict__.get("_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(obj, "_memo", memo)
+    return memo
+
+
+def _evaluate(seq: "SequenceSpec", i: int) -> Scalar:
+    """seq.at(i) as a materialized entry: normalized, or a placeholder."""
+    try:
+        return _normalized(seq.at(i))
+    except SequenceRangeError as exc:
+        return _OutOfRange(str(exc))
+
+
+class _Materialized:
+    """``materialize`` for a sequence defined by its ``at``."""
+
+    def materialize(self, top: int) -> Tuple[Scalar, ...]:
+        """Entries 0..top (or more) as a tuple, integral values as int.
+
+        Computed once from ``at`` and extended on demand; an index that
+        ``at`` rejects holds a placeholder that raises when used.
+        """
+        memo = _memo(self)
+        values = memo.get("values", ())
+        if len(values) <= top:
+            values = memo["values"] = values + tuple(
+                _evaluate(self, i) for i in range(len(values), top + 1)
+            )
+        return values
+
+    def require(self, lo: int, hi: int) -> Tuple[Scalar, ...]:
+        """``materialize(hi)``, raising if an index in lo..hi is outside
+        the sequence (the first such index, in order)."""
+        values = self.materialize(hi)
+        for _ in _entries(values, lo, hi):
+            pass
+        return values
+
+
 @dataclass(frozen=True)
-class ExplicitSeq:
+class ExplicitSeq(_Materialized):
     """Fixed-length list of scalars; index i is values[i]."""
 
     values: Tuple[Scalar, ...]
@@ -76,7 +171,7 @@ class ExplicitSeq:
 
 
 @dataclass(frozen=True)
-class AffineSeq:
+class AffineSeq(_Materialized):
     """i -> c0 + c1*i with rational c0, c1."""
 
     c0: Fraction
@@ -91,7 +186,7 @@ class AffineSeq:
 
 
 @dataclass(frozen=True)
-class ConstantSeq:
+class ConstantSeq(_Materialized):
     value: Scalar
 
     def at(self, i: int) -> Scalar:
@@ -105,7 +200,7 @@ class ConstantSeq:
 
 
 @dataclass(frozen=True)
-class SymbolicSeq:
+class SymbolicSeq(_Materialized):
     """i -> the indeterminate family[i + shift]."""
 
     family: str
@@ -120,7 +215,7 @@ class SymbolicSeq:
 
 
 @dataclass(frozen=True)
-class ShiftedSeq:
+class ShiftedSeq(_Materialized):
     """View of another sequence with the index shifted by a fixed offset."""
 
     base: "SequenceSpec"
@@ -128,6 +223,19 @@ class ShiftedSeq:
 
     def at(self, i: int) -> Scalar:
         return self.base.at(i + self.offset)
+
+    def materialize(self, top: int) -> Tuple[Scalar, ...]:
+        """The base's materialized entries, shifted, so no base entry is
+        evaluated twice; indices below the base's 0 hold placeholders."""
+        memo = _memo(self)
+        values = memo.get("values", ())
+        if len(values) <= top:
+            head = tuple(_evaluate(self, i) for i in range(min(-self.offset, top + 1)))
+            if top + self.offset >= 0:
+                base = self.base.materialize(top + self.offset)
+                head += base[max(self.offset, 0) :]
+            values = memo["values"] = head
+        return values
 
     @property
     def is_symbolic(self) -> bool:
@@ -137,11 +245,22 @@ class ShiftedSeq:
 SequenceSpec = Union[ExplicitSeq, AffineSeq, ConstantSeq, SymbolicSeq, ShiftedSeq]
 
 
+class Coefficients(NamedTuple):
+    """A system's materialized sequences over indices 0..top (or more),
+    with the alpha[0] = 0 convention built in."""
+
+    alpha: Tuple[Scalar, ...]
+    beta: Tuple[Scalar, ...]
+    gamma: Tuple[Scalar, ...]
+
+
 @dataclass(frozen=True)
 class CoefficientSystem:
     """The three coefficient sequences of a three-term recurrence.
 
-    Immutable and pure; safe to share across workers.
+    Immutable and pure; safe to share across workers.  Derived values
+    (materialized coefficients, norms, oracle expansions) are computed
+    once and kept in the instance's cache, which no comparison sees.
     """
 
     alpha: SequenceSpec
@@ -164,60 +283,87 @@ class CoefficientSystem:
     def is_symbolic(self) -> bool:
         return any(s.is_symbolic for s in (self.alpha, self.beta, self.gamma))
 
-    # Coefficient access used by weights and the oracle.  alpha_at(0) is
-    # the fixed convention value 0, whatever the raw sequence would say.
+    def memo(self) -> dict:
+        """The instance's cache of derived values."""
+        return _memo(self)
+
+    def materialize(self, top: int) -> Coefficients:
+        """alpha, beta and gamma as tuples over indices 0..top (or more).
+
+        alpha[0] is the fixed convention value 0, whatever the raw
+        sequence would say; the raw alpha[0] is never evaluated here.
+        """
+        memo = _memo(self)
+        covered, coeffs = memo.get("coefficients", (-1, None))
+        if covered < top:
+            coeffs = Coefficients(
+                (0,) + self.alpha.materialize(top)[1:],
+                self.beta.materialize(top),
+                self.gamma.materialize(top),
+            )
+            memo["coefficients"] = (top, coeffs)
+        return coeffs
+
+    # Single coefficients, read from the materialized tuples.
     def alpha_at(self, i: int) -> Scalar:
-        if i == 0:
-            return 0
-        return self.alpha.at(i)
+        return self._at("alpha", i)
 
     def beta_at(self, i: int) -> Scalar:
-        return self.beta.at(i)
+        return self._at("beta", i)
 
     def gamma_at(self, i: int) -> Scalar:
-        return self.gamma.at(i)
+        return self._at("gamma", i)
+
+    def _at(self, which: str, i: int) -> Scalar:
+        if i < 0:
+            raise SequenceRangeError(f"negative index {i}")
+        return _present(getattr(self.materialize(i), which)[i])
 
     def coeff_at(self, which: str, i: int) -> Scalar:
         """Coefficient by name, one of "alpha", "beta", "gamma"."""
-        if which == "alpha":
-            return self.alpha_at(i)
-        if which == "beta":
-            return self.beta_at(i)
-        if which == "gamma":
-            return self.gamma_at(i)
-        raise ValueError(f"unknown coefficient name {which!r}")
+        if which not in Coefficients._fields:
+            raise ValueError(f"unknown coefficient name {which!r}")
+        return self._at(which, i)
 
     def require_range(self, top: int) -> None:
         """Eagerly probe every coefficient needed for indices up to ``top``."""
-        for i in range(1, top + 1):
-            self.alpha.at(i)
-        for i in range(0, top + 1):
-            self.beta.at(i)
-            self.gamma.at(i)
+        self.alpha.require(1, top)
+        self.beta.require(0, top)
+        self.gamma.require(0, top)
 
     def is_monic(self, upto: int) -> bool:
         """True when alpha is identically 1 over indices 1..upto."""
-        return all(self.alpha.at(i) == 1 for i in range(1, upto + 1))
+        return all(a == 1 for a in self.materialize(upto).alpha[1 : upto + 1])
 
     def positive_definite(self, upto: int) -> bool:
         """alpha[n] > 0 for 1 <= n <= upto and gamma[n] > 0 for 0 <= n <= upto."""
         if self.is_symbolic:
             raise UnsupportedDomainError("positivity is a numeric-mode notion")
-        return all(
-            scalar_sign(self.alpha.at(i)) > 0 for i in range(1, upto + 1)
-        ) and all(scalar_sign(self.gamma.at(i)) > 0 for i in range(0, upto + 1))
+        alpha, _, gamma = self.materialize(upto)
+        return all(scalar_sign(a) > 0 for a in _entries(alpha, 1, upto)) and all(
+            scalar_sign(g) > 0 for g in _entries(gamma, 0, upto)
+        )
 
     def norm_squared(self, k: int) -> Scalar:
         """L(p_k * p_k) = gamma[0]...gamma[k-1] / (alpha[1]...alpha[k]).
 
         k = 0 gives 1 (empty products).  Symbolic mode requires monic
-        alpha, since the quotient is otherwise not representable.
+        alpha, since the quotient is otherwise not representable.  Both
+        products are prefix products, extended on demand.
         """
         if k < 0:
             raise ValueError("norm index must be nonnegative")
-        num = scalar_product(self.gamma.at(i) for i in range(k))
-        den = scalar_product(self.alpha.at(i) for i in range(1, k + 1))
-        return scalar_div(num, den)
+        memo = _memo(self)
+        nums, dens = memo.get("norm_prefixes", ((1,), (1,)))
+        if len(nums) <= k:
+            alpha, _, gamma = self.materialize(k)
+            nums, dens = list(nums), list(dens)
+            for i in range(len(nums), k + 1):
+                nums.append(nums[-1] * gamma[i - 1])
+            for i in range(len(dens), k + 1):
+                dens.append(dens[-1] * alpha[i])
+            nums, dens = memo["norm_prefixes"] = (tuple(nums), tuple(dens))
+        return scalar_div(nums[k], dens[k])
 
 
 def monic_system(
@@ -238,11 +384,17 @@ def monic_system(
 def monic_b_lambda(sys: CoefficientSystem, upto: int) -> Tuple[SequenceSpec, SequenceSpec]:
     """Recover (b, lam) from a monic system: b[n] = beta[n], lam[j] = gamma[j-1].
 
-    Raises if alpha deviates from 1 anywhere in 1..upto.
+    Raises if alpha deviates from 1 anywhere in 1..upto.  The lam view is
+    made once per system, so its materialized values are shared by every
+    caller.
     """
     if not sys.is_monic(upto):
         raise ValueError(f"system {sys.label!r} is not monic up to index {upto}")
-    return sys.beta, ShiftedSeq(sys.gamma, -1)
+    memo = sys.memo()
+    lam = memo.get("monic_lam")
+    if lam is None:
+        lam = memo["monic_lam"] = ShiftedSeq(sys.gamma, -1)
+    return sys.beta, lam
 
 
 # -- JSON wire format -----------------------------------------------------
@@ -251,16 +403,25 @@ def _parse_value(raw: object) -> Scalar:
     if isinstance(raw, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str):
-        return parse_rational(raw)
+        return _normalized(parse_rational(raw))
     raise ValueError(f"coefficient values must be ints or 'p/q' strings, got {raw!r}")
 
 
+def _require_object(obj: object, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def sequence_from_json(obj: dict) -> SequenceSpec:
-    family = obj.get("family")
+    family = _require_object(obj, "a sequence").get("family")
     if family == "explicit":
-        return ExplicitSeq(tuple(_parse_value(v) for v in obj["values"]))
+        values = obj["values"]
+        if not isinstance(values, list):
+            raise ValueError("explicit sequence values must be a JSON list")
+        return ExplicitSeq(tuple(_parse_value(v) for v in values))
     if family == "affine":
         return AffineSeq(parse_rational(str(obj["c0"])), parse_rational(str(obj["c1"])))
     if family == "constant":
@@ -269,11 +430,15 @@ def sequence_from_json(obj: dict) -> SequenceSpec:
         tag = obj["tag"]
         if tag not in FAMILIES:
             raise ValueError(f"unknown symbolic family tag {tag!r}")
-        return SymbolicSeq(tag, int(obj.get("shift", 0)))
+        shift = obj.get("shift", 0)
+        if isinstance(shift, bool) or not isinstance(shift, int):
+            raise ValueError(f"symbolic shift must be an integer, got {shift!r}")
+        return SymbolicSeq(tag, shift)
     raise ValueError(f"unknown sequence family {family!r}")
 
 
 def system_from_json(obj: dict, label: str = "system") -> CoefficientSystem:
+    _require_object(obj, "a system")
     return CoefficientSystem(
         alpha=sequence_from_json(obj["alpha"]),
         beta=sequence_from_json(obj["beta"]),

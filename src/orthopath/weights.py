@@ -56,6 +56,15 @@ Two-family prefactor: the product form used here is
 with the gamma range tied to the start level m, the reading validated by
 the oracle (``k_indexed_prefactor=True`` computes the alternative with
 the gamma range tied to k, which already fails at (m,n,k) = (0,1,1)).
+
+Edge weights, prefactors and both DPs index the tuples of
+``materialize`` (see ``systems``) instead of evaluating coefficients per
+edge.  ``orthopath verify`` weighs each census once: its informational
+routes reuse those per-path weights, the strict census as the paths with
+``is_standard()`` and the k-indexed prefactor times the same weight sum.
+``strict_monic_weight_sum`` and ``path_sum_mixed(...,
+k_indexed_prefactor=True)`` still compute both from scratch, as the
+references the tests hold those routes to.
 """
 
 from __future__ import annotations
@@ -91,27 +100,33 @@ def path_weight_monic(path: MotzkinPath, b: SequenceSpec, lam: SequenceSpec) -> 
         raise ValueError("monic weights are defined on plain paths only")
     if not path.is_boundary_valid():
         raise ValueError(f"path {path} dips below the permitted boundary")
+    top = path.start + len(path.steps) + 1
+    bv, lv = b.materialize(top), lam.materialize(top)
     steps = path.steps
+    last = len(steps) - 1
     total: Scalar = 1
-    for idx, (i, j, step) in enumerate(path.edges()):
+    x, j = 0, path.start
+    for idx, step in enumerate(steps):
         if step == ACROSS:
-            total = total * (b.at(j) - b.at(i))
+            total = total * (bv[j] - bv[x])
         elif step == DOWN:
-            followed = idx + 1 < len(steps) and steps[idx + 1] == UP
-            if followed:
+            if idx < last and steps[idx + 1] == UP:
                 if j == 0:
-                    total = total * (-lam.at(i + 1))
+                    total = total * (-lv[x + 1])
                 else:
-                    total = total * (lam.at(j) - lam.at(i + 1))
+                    total = total * (lv[j] - lv[x + 1])
             else:
-                total = total * lam.at(j)
-        # U contributes 1
+                total = total * lv[j]
+            j -= 1
+        else:  # U contributes 1
+            j += 1
+        x += 1
     return total
 
 
 def monic_prefactor(n: int, lam: SequenceSpec) -> Scalar:
     """lam[1] * ... * lam[n]; 1 when n = 0."""
-    return scalar_product(lam.at(j) for j in range(1, n + 1))
+    return scalar_product(lam.materialize(n)[1 : n + 1])
 
 
 def path_sum_monic(
@@ -148,27 +163,42 @@ def path_weight_mixed(
     """Product of two-family edge weights over a generalized path."""
     if not path.is_standard():
         raise ValueError(f"path {path} dips below the axis")
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
     total: Scalar = 1
     prev: Optional[str] = None
-    for i, j, step in path.edges():
+    i, j = 0, path.start
+    for step in path.steps:
         if step == ACROSS:
-            f = sys.beta_at(j) - sys_prime.beta_at(i)
+            f = beta[j] - beta_p[i]
         elif step == UP:
-            f = sys.gamma_at(j)
+            f = gamma[j]
             if prev == DOWN:
-                f = f - sys_prime.alpha_at(i)
+                f = f - alpha_p[i]
+            j += 1
         elif step == DOWN:
-            f = sys.alpha_at(j)
+            f = alpha[j]
             if prev == UP:
-                f = f - sys_prime.alpha_at(i)
+                f = f - alpha_p[i]
+            j -= 1
         else:  # ACROSS2
-            base = sys.alpha_at(j) + sys.gamma_at(j) - sys_prime.gamma_at(i)
+            base = alpha[j] + gamma[j] - gamma_p[i]
             if prev in (UP, DOWN):
-                base = base - sys_prime.alpha_at(i)
-            f = base * sys_prime.alpha_at(i + 1)
+                base = base - alpha_p[i]
+            f = base * alpha_p[i + 1]
+            i += 1
         total = total * f
         prev = step
+        i += 1
     return total
+
+
+def _two_family(
+    path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
+) -> Tuple[Tuple[Scalar, ...], ...]:
+    """alpha, beta, gamma, alpha', beta', gamma' materialized far enough
+    for every edge of the path (levels and positions, alpha'[x + 1])."""
+    top = path.start + 2 * len(path.steps) + 1
+    return (*sys.materialize(top), *sys_prime.materialize(top))
 
 
 def path_weight_merged(
@@ -177,16 +207,17 @@ def path_weight_merged(
     """Product of merged (context-free) edge weights over a generalized path."""
     if not path.is_standard():
         raise ValueError(f"path {path} dips below the axis")
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
     total: Scalar = 1
     for i, j, step in path.edges():
         if step == ACROSS:
-            total = total * (sys.beta_at(j) - sys_prime.beta_at(i))
+            total = total * (beta[j] - beta_p[i])
         elif step == UP:
-            total = total * sys.gamma_at(j)
+            total = total * gamma[j]
         elif step == DOWN:
-            total = total * sys.alpha_at(j)
+            total = total * alpha[j]
         else:
-            total = total * (-(sys_prime.gamma_at(i) * sys_prime.alpha_at(i + 1)))
+            total = total * (-(gamma_p[i] * alpha_p[i + 1]))
     return total
 
 
@@ -199,9 +230,9 @@ def mixed_prefactor(
 ) -> Scalar:
     """gamma[0..r-1] / (alpha[1..m] * alpha'[1..k]), r = m (or k if requested)."""
     gamma_range = k if k_indexed_prefactor else m
-    num = scalar_product(sys.gamma_at(i) for i in range(gamma_range))
-    den = scalar_product(sys.alpha.at(i) for i in range(1, m + 1)) * scalar_product(
-        sys_prime.alpha.at(i) for i in range(1, k + 1)
+    num = scalar_product(sys.materialize(gamma_range).gamma[:gamma_range])
+    den = scalar_product(sys.materialize(m).alpha[1 : m + 1]) * scalar_product(
+        sys_prime.materialize(k).alpha[1 : k + 1]
     )
     return scalar_div(num, den)
 
@@ -286,6 +317,7 @@ def make_term(
     edges = path.edges()
     if len(tags) != len(edges):
         raise ValueError("one choice tag per edge is required")
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
     sign = 1
     value: Scalar = 1
     prev: Optional[str] = None
@@ -293,25 +325,21 @@ def make_term(
         if tag not in _edge_choices(path, prev, j, step):
             raise ValueError(f"tag {tag!r} not available for {step} after {prev}")
         if tag == H_ATOM:
-            value = value * (sys.beta_at(j) - sys_prime.beta_at(i))
+            value = value * (beta[j] - beta_p[i])
         elif tag == U_GAMMA:
-            value = value * sys.gamma_at(j)
+            value = value * gamma[j]
         elif tag == U_APRIME or tag == D_APRIME:
-            value = value * (-sys_prime.alpha_at(i))
+            value = value * (-alpha_p[i])
         elif tag == D_ALPHA:
-            value = value * sys.alpha_at(j)
+            value = value * alpha[j]
         elif tag == HH_ALPHA:
-            value = value * (sys.alpha_at(j) * sys_prime.alpha_at(i + 1))
+            value = value * (alpha[j] * alpha_p[i + 1])
         elif tag == HH_GAMMA:
-            value = value * (sys.gamma_at(j) * sys_prime.alpha_at(i + 1))
+            value = value * (gamma[j] * alpha_p[i + 1])
         elif tag == HH_APRIME:
-            value = value * (
-                -(sys_prime.alpha_at(i) * sys_prime.alpha_at(i + 1))
-            )
+            value = value * (-(alpha_p[i] * alpha_p[i + 1]))
         elif tag == HH_GPRIME:
-            value = value * (
-                -(sys_prime.gamma_at(i) * sys_prime.alpha_at(i + 1))
-            )
+            value = value * (-(gamma_p[i] * alpha_p[i + 1]))
         else:
             raise ValueError(f"unknown tag {tag!r}")
         if tag in _NEGATIVE:
@@ -452,6 +480,7 @@ def _dp_count(m: int, n: int, k: int) -> int:
 def _dp_monic(m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec) -> Scalar:
     # state: (level, pending) where pending means the previous edge was a
     # D whose weight is deferred until its follower is known
+    bv, lv = b.materialize(m + k + 1), lam.materialize(m + k + 1)
     states: Dict[Tuple[int, bool], Scalar] = {(m, False): 1}
     for x in range(k):
         nxt: Dict[Tuple[int, bool], Scalar] = {}
@@ -463,11 +492,11 @@ def _dp_monic(m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec) -> Sca
             if lvl < 0:
                 # inside a boundary dip: the pending D started at level 0
                 # and must be followed by U, with lam[0] treated as 0
-                put((0, False), acc * (-lam.at(x)))
+                put((0, False), acc * (-lv[x]))
                 continue
-            resolved = acc * lam.at(lvl + 1) if pending else acc
+            resolved = acc * lv[lvl + 1] if pending else acc
             # U
-            up_acc = acc * (lam.at(lvl + 1) - lam.at(x)) if pending else acc
+            up_acc = acc * (lv[lvl + 1] - lv[x]) if pending else acc
             put((lvl + 1, False), up_acc)
             # D
             if lvl >= 1:
@@ -475,13 +504,13 @@ def _dp_monic(m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec) -> Sca
             else:
                 put((-1, True), resolved)
             # H
-            put((lvl, False), resolved * (b.at(lvl) - b.at(x)))
+            put((lvl, False), resolved * (bv[lvl] - bv[x]))
         states = nxt
     total: Scalar = 0
     for (lvl, pending), acc in states.items():
         if lvl != n:
             continue
-        total = total + (acc * lam.at(lvl + 1) if pending else acc)
+        total = total + (acc * lv[lvl + 1] if pending else acc)
     return total
 
 
@@ -494,6 +523,8 @@ def _dp_two_family(
     merged: bool,
 ) -> Scalar:
     # state: (x, level, previous step class); HH advances x by two
+    alpha, beta, gamma = sys.materialize(m + k + 1)
+    alpha_p, beta_p, gamma_p = sys_prime.materialize(m + k + 1)
     states: Dict[Tuple[int, int, Optional[str]], Scalar] = {(0, m, None): 1}
     total: Scalar = 0
     for x in range(k + 1):
@@ -511,31 +542,27 @@ def _dp_two_family(
                 continue
             rem = k - x
             # U
-            f = sys.gamma_at(lvl)
+            f = gamma[lvl]
             if not merged and prev == DOWN:
-                f = f - sys_prime.alpha_at(x)
+                f = f - alpha_p[x]
             put((x + 1, lvl + 1, UP), acc * f)
             # D
             if lvl >= 1:
-                f = sys.alpha_at(lvl)
+                f = alpha[lvl]
                 if not merged and prev == UP:
-                    f = f - sys_prime.alpha_at(x)
+                    f = f - alpha_p[x]
                 put((x + 1, lvl - 1, DOWN), acc * f)
             # H
-            f = sys.beta_at(lvl) - sys_prime.beta_at(x)
+            f = beta[lvl] - beta_p[x]
             put((x + 1, lvl, ACROSS), acc * f)
             # HH
             if rem >= 2:
                 if merged:
-                    f = -(sys_prime.gamma_at(x) * sys_prime.alpha_at(x + 1))
+                    f = -(gamma_p[x] * alpha_p[x + 1])
                 else:
-                    base = (
-                        sys.alpha_at(lvl)
-                        + sys.gamma_at(lvl)
-                        - sys_prime.gamma_at(x)
-                    )
+                    base = alpha[lvl] + gamma[lvl] - gamma_p[x]
                     if prev in (UP, DOWN):
-                        base = base - sys_prime.alpha_at(x)
-                    f = base * sys_prime.alpha_at(x + 1)
+                        base = base - alpha_p[x]
+                    f = base * alpha_p[x + 1]
                 put((x + 2, lvl, ACROSS2), acc * f)
     return total

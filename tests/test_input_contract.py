@@ -1,0 +1,223 @@
+"""The CLI's input contract: exit 0 on success, 2 with an ``error:`` line
+on bad input, never a traceback, and no vacuous success."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from orthopath import parse_rational, system_from_json
+from orthopath.cli import main
+from conftest import SYSTEMS_DIR
+
+SYMBOLIC_MONIC = str(SYSTEMS_DIR / "symbolic_monic.json")
+MONOTONE_MONIC = str(SYSTEMS_DIR / "monotone_monic.json")
+SHIPPED = sorted(SYSTEMS_DIR.glob("*.json"))
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def expect_input_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def write_system(tmp_path: Path, obj, name="system.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# Every command that reads --system, at small sizes.
+COMMANDS = [
+    ("lincoef", "--m", 2, "--n", 2),
+    ("lincoef", "--m", 2, "--n", 1, "--method", "monic"),
+    ("lincoef", "--m", 2, "--n", 1, "--method", "mixed"),
+    ("connect", "--m", 1, "--k", 2),
+    ("verify", "--max", 2, "--method", "monic"),
+    ("verify", "--max", 2, "--method", "mixed"),
+    ("verify", "--max", 1, "--method", "all", "--format", "records"),
+    ("positivity", "--max", 2),
+    ("positivity", "--m", 1, "--n", 2, "--k", 1, "--system-prime", "SELF"),
+    ("paths", "--m", 1, "--n", 1, "--k", 3),
+    ("paths", "--m", 1, "--n", 1, "--k", 3, "--system-prime", "SELF"),
+    ("moments", "--max", 5),
+]
+
+
+@pytest.mark.parametrize("system", SHIPPED, ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(map(str, c)))
+def test_shipped_systems_work_with_every_command(capsys, system, command):
+    argv = [str(system) if a == "SELF" else a for a in command]
+    code, out, err = run(capsys, *argv, "--system", system)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")
+    else:
+        assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("lincoef", "--m", 2, "--n", 2),
+        ("moments", "--max", 4),
+        ("verify", "--max", 2, "--method", "monic"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_symbolic_system_file_is_usable(capsys, command):
+    code, out, _ = run(capsys, *command, "--system", SYMBOLIC_MONIC)
+    assert code == 0
+    assert "l1" in out
+
+
+def test_integral_json_values_parse_as_int(tmp_path):
+    sys_ = system_from_json(
+        {
+            "alpha": {"family": "constant", "value": "1"},
+            "beta": {"family": "explicit", "values": ["4/2", 3, "1/2"]},
+            "gamma": {"family": "constant", "value": 2},
+        }
+    )
+    assert type(sys_.alpha.at(0)) is int
+    assert [type(v) for v in sys_.beta.values] == [int, int, Fraction]
+    assert type(sys_.gamma.at(3)) is int
+
+
+def test_domain_mismatch_is_an_input_error(capsys, tmp_path):
+    path = write_system(
+        tmp_path,
+        {
+            "alpha": {"family": "constant", "value": "1"},
+            "beta": {"family": "symbolic", "tag": "b"},
+            "gamma": {"family": "affine", "c0": "1/2", "c1": "1"},
+        },
+    )
+    err = expect_input_error(capsys, "lincoef", "--m", 1, "--n", 1, "--system", path)
+    assert "symbolic" in err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        "monic",
+        {"alpha": [1], "beta": {"family": "constant", "value": "0"},
+         "gamma": {"family": "constant", "value": "1"}},
+        {"alpha": {"family": "explicit", "values": "12"},
+         "beta": {"family": "constant", "value": "0"},
+         "gamma": {"family": "constant", "value": "1"}},
+    ],
+    ids=["list", "string", "sequence-not-object", "values-not-list"],
+)
+def test_malformed_system_json_is_an_input_error(capsys, tmp_path, obj):
+    path = write_system(tmp_path, obj)
+    expect_input_error(capsys, "moments", "--max", 2, "--system", path)
+
+
+@pytest.mark.parametrize("text", ["1e3", "+1", "1_000", "3/-2", "0x10", " 1.0 "])
+def test_parse_rational_accepts_only_p_over_q(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_canonical_forms():
+    assert parse_rational(" -3/4 ") == parse_rational("-6/8")
+    assert parse_rational("12") == 12
+
+
+def test_exponent_in_system_file_is_an_input_error(capsys, tmp_path):
+    path = write_system(
+        tmp_path,
+        {
+            "alpha": {"family": "constant", "value": "1"},
+            "beta": {"family": "constant", "value": "1e3"},
+            "gamma": {"family": "constant", "value": "1"},
+        },
+    )
+    expect_input_error(capsys, "moments", "--max", 2, "--system", path)
+
+
+@pytest.mark.parametrize("command", ["verify", "moments"])
+def test_negative_max_is_an_input_error(capsys, command):
+    err = expect_input_error(capsys, command, "--max", -1, "--system", MONOTONE_MONIC)
+    assert "--max" in err
+
+
+def explicit_monic(length):
+    return {
+        "alpha": {"family": "explicit", "values": ["1"] * length},
+        "beta": {"family": "explicit", "values": [f"{i}/3" for i in range(length)]},
+        "gamma": {"family": "explicit", "values": [f"{i + 2}/5" for i in range(length)]},
+    }
+
+
+def test_explicit_system_one_index_short_for_verify(capsys, tmp_path):
+    # verify --max 2 reads alpha up to index 2 * 2 + 2 = 6
+    short = write_system(tmp_path, explicit_monic(6), "short.json")
+    err = expect_input_error(capsys, "verify", "--max", 2, "--system", short)
+    assert "index 6" in err
+    enough = write_system(tmp_path, explicit_monic(7), "enough.json")
+    code, out, _ = run(capsys, "verify", "--max", 2, "--system", enough)
+    assert code == 0
+    assert out.strip().endswith("binding checks: 108/108 matched")
+
+
+_VALUES = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(["1", "-2/3", "0", "5/2", "1/0", "1e3", "0.5", "x", ""]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_SEQUENCES = st.one_of(
+    st.fixed_dictionaries(
+        {"family": st.just("explicit"), "values": st.one_of(st.lists(_VALUES, max_size=8), _VALUES)}
+    ),
+    st.fixed_dictionaries({"family": st.just("affine"), "c0": _VALUES, "c1": _VALUES}),
+    st.fixed_dictionaries({"family": st.just("constant"), "value": _VALUES}),
+    st.fixed_dictionaries(
+        {"family": st.just("symbolic"), "tag": st.sampled_from(["b", "l", "a'", "z"])},
+        optional={"shift": _VALUES},
+    ),
+    st.fixed_dictionaries({"family": st.sampled_from(["geometric", None, 3])}),
+    _VALUES,
+)
+_SYSTEMS = st.one_of(
+    st.fixed_dictionaries(
+        {"alpha": _SEQUENCES, "beta": _SEQUENCES, "gamma": _SEQUENCES},
+        optional={"label": st.one_of(st.text(max_size=3), st.integers())},
+    ),
+    _VALUES,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=_SYSTEMS)
+def test_fuzzed_system_json_exits_0_or_2(tmp_path_factory, obj):
+    path = write_system(tmp_path_factory.mktemp("fuzz"), obj)
+    for command in (
+        ("moments", "--max", 3),
+        ("verify", "--max", 1, "--method", "mixed"),
+        ("positivity", "--max", 1, "--system-prime", path),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(a) for a in (*command, "--system", path)])
+        assert code in (0, 2), (command, obj)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
