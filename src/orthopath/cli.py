@@ -48,10 +48,13 @@ from .systems import (
     SymbolicSeq,
     load_system,
     monic_b_lambda,
+    monic_system,
 )
 from .weights import (
     dp_sum,
     mixed_prefactor,
+    monic_formula,
+    monic_prefactor,
     path_sum_mixed,
     path_sum_monic,
     path_weight_merged,
@@ -94,31 +97,32 @@ def _load_prime(args: argparse.Namespace, fallback: CoefficientSystem) -> Coeffi
 
 # -- lincoef ---------------------------------------------------------------
 
+def _path_totals(args: argparse.Namespace, sys_: CoefficientSystem):
+    """k -> L(p_m p_n p_k) as prefactor times the DP path sum.  Monic: the
+    system is read as monic up to m + n + 1, the indices the product
+    involves.  Mixed: p_m * p'_n with the system as its own second family."""
+    m, n = args.m, args.n
+    if args.method == "monic":
+        b, lam = monic_b_lambda(sys_, m + n + 1)
+        monic = monic_system(b, lam)
+        return lambda k: monic_prefactor(n, lam) * dp_sum(m, n, k, "monic", monic)
+    return lambda k: mixed_prefactor(m, n, sys_, sys_) * dp_sum(m, k, n, "mixed", sys_, sys_)
+
+
 def _cmd_lincoef(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     table = oracle.expand_product(args.m, args.n, sys_)
-    if args.method == "monic":
-        b, lam = monic_b_lambda(sys_, args.m + args.n + 1)
-        entries = {}
-        for k in sorted(table.entries):
-            res = path_sum_monic(args.m, args.n, k, b, lam)
-            entries[k] = (
-                format_scalar(scalar_div(res.total, sys_.norm_squared(k))),
-                format_scalar(res.total),
-            )
-    elif args.method == "mixed":
-        # single-family product, so the second family is the system itself
-        entries = {}
-        for k in sorted(table.entries):
-            res = path_sum_mixed(args.m, k, args.n, sys_, sys_)
-            entries[k] = (
-                format_scalar(scalar_div(res.total, sys_.norm_squared(k))),
-                format_scalar(res.total),
-            )
+    if args.method == "oracle":
+        entries = {k: (c, l) for k, c, l in table.rows()}
     else:
-        entries = {
-            k: (c, l) for k, c, l in table.rows()
-        }
+        total_at = _path_totals(args, sys_)
+        entries = {}
+        for k in sorted(table.entries):
+            total = total_at(k)
+            entries[k] = (
+                format_scalar(scalar_div(total, sys_.norm_squared(k))),
+                format_scalar(total),
+            )
     label = f"a[{args.m},{args.n}]^k"
     if args.format == "records":
         _emit_records(
@@ -290,17 +294,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # -- positivity --------------------------------------------------------------
 
-def _monic_formula(path) -> str:
-    parts = []
-    for idx, (i, j, step) in enumerate(path.edges()):
-        if step == "H":
-            parts.append(f"(b{j}-b{i})")
-        elif step == "D":
-            followed = idx + 1 < len(path.steps) and path.steps[idx + 1] == "U"
-            parts.append(f"(l{j}-l{i + 1})" if followed else f"l{j}")
-    return "*".join(parts) if parts else "1"
-
-
 def _cmd_positivity(args: argparse.Namespace) -> int:
     sys_ = _load(args)
     prime = load_system(args.system_prime) if args.system_prime else None
@@ -336,6 +329,8 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
             check_parity_dominance(sys_, prime, window, strict=args.strict),
         ]
         certify = lambda m, n, k: certify_mixed(m, n, k, sys_, prime)
+        # only dominance binds the exit status; the parity-dominance
+        # report (reports[1]) is printed for information
         guaranteed = lambda m, n, k: reports[0].holds and k <= max(m, n)
 
     as_records = args.format == "records"
@@ -401,7 +396,7 @@ def _emit_report(rep, as_records: bool) -> None:
 def _cert_record(cert, report, monic: bool) -> dict:
     rows = []
     for path, w, s in cert.rows:
-        formula = _monic_formula(path) if monic else str(path)
+        formula = monic_formula(path) if monic else str(path)
         rows.append(
             {
                 "path": str(path),
@@ -486,8 +481,6 @@ def _cmd_symbolic(args: argparse.Namespace) -> int:
     b = SymbolicSeq("b")
     lam = SymbolicSeq("l")
     res = path_sum_monic(args.m, args.n, args.k, b, lam)
-    from .systems import monic_system
-
     coeff = oracle.expand_product(
         args.m, args.n, monic_system(b, lam)
     ).coefficient(args.k)

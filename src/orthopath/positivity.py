@@ -14,6 +14,10 @@ needs, indices up to m + n + k):
   for all window pairs j >= i;
 * parity dominance: both beta sequences identically 0 and the dominance
   inequalities split by index parity, for products with even first index.
+  Its report is informational: ``orthopath positivity`` binds its exit
+  status to the dominance rule only, so a failed parity check, or a
+  negative certificate that only the parity rule would guarantee, never
+  exits 1.
 
 "Increasing" is read weakly (>=); pass ``strict=True`` to demand strict
 inequalities.  Hypothesis scans read the raw sequences (including any

@@ -4,43 +4,65 @@ Two weighted path expansions are implemented, plus the machinery of
 their combinatorial proofs:
 
 * the monic expansion: L(p_m p_n p_k) = lam[1]..lam[n] * sum over plain
-  Motzkin paths (0,m) -> (k,n) of a product of edge weights that depend
-  on each edge's start vertex (x, level) and, for D edges, on whether a
-  U follows;
+  Motzkin paths (0,m) -> (k,n) of a product of edge weights;
 * the two-family expansion: L(p_m p_n p'_k) = prefactor * sum over
-  generalized Motzkin paths (0,m) -> (k,n) of edge weights that depend
-  on the preceding edge.
+  generalized Motzkin paths (0,m) -> (k,n) of edge weights.
 
-"Followed by" / "preceded by" always means the immediately adjacent
-edge in the step sequence; the first edge counts as not preceded and the
-last as not followed.
+Weight tables
+-------------
 
-Monic edge weights, for an edge starting at (i, j):
+Each weight system is one table: a rule that gives an edge's factor from
+the context the previous step left, the step, and the edge's start
+vertex (x, level).  Everything else is derived from the tables: the
+per-path fold behind ``path_weight_*``, the transfer-matrix DP behind
+``dp_sum``, the monomial choices of ``make_term`` and ``expand_choices``,
+and the certificate formula text of ``monic_formula``.  The first edge
+sees no context; after the last edge the rule is asked once more, with
+no step, for a closing factor.
 
-    H                    (b[j] - b[i])
-    D followed by U      (lam[j] - lam[i+1]);  at j = 0 this is the
-                         boundary dip inserted by a merged domino and
-                         evaluates with lam[0] treated as 0
-    D not followed by U  lam[j]
-    U                    1
+Monic (context: "the previous step was D"), for an edge at (x, j):
 
-Two-family edge weights (alpha[0] = 0 by the system convention):
+    H                     (b[j] - b[x])
+    U                     1
+    D                     1; its factor is paid by its follower:
+    after a D: U          (lam[j+1] - lam[x])
+               H          lam[j+1] * (b[j] - b[x])
+               D          lam[j+1]
+               the end    lam[j+1]
 
-    H                        (beta[j] - beta'[i])
-    U preceded by D          (gamma[j] - alpha'[i]), else gamma[j]
-    D preceded by U          (alpha[j] - alpha'[i]), else alpha[j]
-    HH preceded by U or D    (alpha[j] + gamma[j] - alpha'[i] - gamma'[i]) * alpha'[i+1]
-    HH otherwise             (alpha[j] + gamma[j] - gamma'[i]) * alpha'[i+1]
+so a D at (i, j) contributes (lam[j] - lam[i+1]) when a U follows it
+and lam[j] otherwise.  The table reads lam[0] as 0, which makes the
+boundary dip (a D,U from level 0, inserted by a merged domino) the
+ordinary D-then-U rule, -lam[x].
 
-Merged weights (what the path/paving merge produces directly):
+Two-family (context: the previous step if it was U or D); an edge's
+factor is the sum of its tagged monomials:
 
-    H  (beta[j] - beta'[i]),  U  gamma[j],  D  alpha[j],
-    HH  -gamma'[i] * alpha'[i+1]
+    edge  tag     monomial
+    H     H       (beta[j] - beta'[x])
+    U     U:g     gamma[j]
+          U:-a'   -alpha'[x]                 after a D only
+    D     D:a     alpha[j]
+          D:-a'   -alpha'[x]                 after a U only
+    HH    HH:a    alpha[j] * alpha'[x+1]     at level j >= 1 only
+          HH:g    gamma[j] * alpha'[x+1]
+          HH:-a'  -alpha'[x] * alpha'[x+1]   after a U or D only
+          HH:-g'  -gamma'[x] * alpha'[x+1]
 
-The sign-reversing involution pairs off, within the multiset of
-per-edge monomial choices of the two-family weights, every term whose
-choice mentions alpha' (apart from the -gamma'*alpha' monomial of HH),
-leaving exactly the merged weights as fixed points.
+(alpha[0] = 0 by the system convention, so HH:a does not exist at level
+0.)  Merged: the same monomials with the marked tags (U:-a', D:-a', HH:a,
+HH:g, HH:-a') dropped, so H (beta[j] - beta'[x]), U gamma[j], D alpha[j]
+and HH -gamma'[x] * alpha'[x+1], whatever the context.  These are the
+fixed points of the sign-reversing involution, which pairs off every
+term with a marked choice.
+
+Count: every factor is 1, over plain paths.
+
+Each table is built once per system (or system pair) and kept on the
+instance, like ``materialize``: its coefficients extend on demand, and
+the per-path fold computes each factor once per (context, step, x,
+level).  The DP meets each factor once per call and reads the rule
+directly, so a long DP leaves no factors behind.
 
 Boundary behaviour of the monic sum: the strict census of axis-respecting
 paths reproduces L only while k <= m + n + 1.  For larger k the merge
@@ -57,25 +79,21 @@ with the gamma range tied to the start level m, the reading validated by
 the oracle (``k_indexed_prefactor=True`` computes the alternative with
 the gamma range tied to k, which already fails at (m,n,k) = (0,1,1)).
 
-Edge weights, prefactors and both DPs index the tuples of
-``materialize`` (see ``systems``) instead of evaluating coefficients per
-edge.  ``orthopath verify`` weighs each census once: its informational
-routes reuse those per-path weights, the strict census as the paths with
-``is_standard()`` and the k-indexed prefactor times the same weight sum.
 ``strict_monic_weight_sum`` and ``path_sum_mixed(...,
-k_indexed_prefactor=True)`` still compute both from scratch, as the
-references the tests hold those routes to.
+k_indexed_prefactor=True)`` compute the informational routes of
+``orthopath verify`` from scratch; the tests hold that command, which
+reuses each census's weights for them, to these references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .paths import ACROSS, ACROSS2, DOWN, UP, MotzkinPath, enumerate_paths
+from .paths import _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, enumerate_paths
 from .scalars import Scalar, scalar_div, scalar_product, scalar_sum
-from .systems import CoefficientSystem, SequenceSpec, monic_b_lambda
+from .systems import CoefficientSystem, SequenceSpec, _memo, monic_b_lambda
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,149 @@ class PathSumResult:
     per_path: Dict[MotzkinPath, Scalar]
 
 
-# -- monic weights ---------------------------------------------------------
+# -- weight tables ----------------------------------------------------------
+
+# A factor of None is the unit factor: folds and the DP skip it instead of
+# multiplying by 1, which is not free for polynomials.  The step None asks
+# for the closing factor at the path's end.
+Factor = Optional[Scalar]
+Rule = Callable[[tuple, Optional[str], Optional[str], int, int], Factor]
+
+_PLAIN = (UP, DOWN, ACROSS)
+_GENERALIZED = (UP, DOWN, ACROSS, ACROSS2)
+_MISSING = object()
+
+
+class _Table:
+    """One weight system: its rule (coefficients, context, step, x, level)
+    -> factor, the steps it admits, and the context each step leaves."""
+
+    def __init__(self, rule: Rule, materialize: Callable[[int], tuple],
+                 steps: Tuple[str, ...], leaves: Dict[str, str], dips: bool = False) -> None:
+        self.rule = rule
+        self.materialize = materialize  # top -> the rule's coefficients
+        self.steps = steps
+        self.leaves = leaves  # step -> the context it leaves; others leave None
+        self.dips = dips  # admit D,U excursions from level 0
+        self.covered: Tuple[int, tuple] = (-1, ())
+        self.factors: Dict[tuple, Factor] = {}  # the fold's, by (ctx, step, x, level)
+
+    def coefficients(self, top: int) -> tuple:
+        """The rule's coefficients over indices 0..top (or more)."""
+        covered, coeffs = self.covered
+        if covered < top:
+            covered, coeffs = self.covered = (top, self.materialize(top))
+        return coeffs
+
+
+def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
+    """Product of the table's factors along the path, closing factor
+    included; each factor is computed once per table."""
+    coeffs = table.coefficients(top)
+    rule, leaves, memo = table.rule, table.leaves, table.factors
+    total: Factor = None
+    ctx: Optional[str] = None
+    x, j = 0, path.start
+    for step in path.steps + (None,):
+        key = (ctx, step, x, j)
+        f = memo.get(key, _MISSING)
+        if f is _MISSING:
+            f = memo[key] = rule(coeffs, ctx, step, x, j)
+        if f is not None:
+            total = f if total is None else total * f
+        if step is not None:
+            ctx = leaves.get(step)
+            x, j = x + _DX[step], j + _DY[step]
+    return 1 if total is None else total
+
+
+def _dp(table: _Table, m: int, n: int, k: int, top: int) -> Scalar:
+    """Sum of the fold over every path (0, m) -> (k, n) the table admits.
+
+    The state is (level, context) per x layer; HH jumps two layers.
+    States that cannot reach level n in the remaining length are dropped,
+    and a dip below the axis (level -1, only when the table admits dips)
+    must climb back at once, as in ``enumerate_paths``.
+    """
+    coeffs = table.coefficients(top)
+    rule, leaves = table.rule, table.leaves
+    layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(k + 1)]
+    if abs(n - m) <= k:
+        layers[0][(m, None)] = 1
+    for x in range(k):
+        for (j, ctx), acc in layers[x].items():
+            for step in table.steps if j >= 0 else (UP,):
+                nx, nj = x + _DX[step], j + _DY[step]
+                if nx > k or abs(n - nj) > k - nx or (nj < 0 and not table.dips):
+                    continue
+                f = rule(coeffs, ctx, step, x, j)
+                value = acc if f is None else acc * f
+                layer, key = layers[nx], (nj, leaves.get(step))
+                prev = layer.get(key)
+                layer[key] = value if prev is None else prev + value
+    total: Factor = None
+    for (j, ctx), acc in layers[k].items():  # pruning leaves level n only
+        f = rule(coeffs, ctx, None, k, j)
+        value = acc if f is None else acc * f
+        total = value if total is None else total + value
+    return 0 if total is None else total
+
+
+def _cached_table(owner: object, name: str, partner: object, build: Callable[[], _Table]) -> _Table:
+    """The table ``name`` kept on ``owner``, one slot matched by the
+    partner's identity (``monic_b_lambda`` keeps its lam view)."""
+    memo = _memo(owner)
+    slot = memo.get(name)
+    if slot is None or slot[0] is not partner:
+        slot = memo[name] = (partner, build())
+    return slot[1]
+
+
+# -- the monic table --------------------------------------------------------
+
+def _monic_rule(c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
+    b, lam = c
+    own = b[j] - b[x] if step == ACROSS else None
+    if ctx is None:
+        return own
+    # the D before this edge started at level j + 1 and is paid here
+    if step == UP:
+        return lam[j + 1] - lam[x]
+    return lam[j + 1] if own is None else lam[j + 1] * own
+
+
+def _monic(materialize: Callable[[int], tuple]) -> _Table:
+    return _Table(_monic_rule, materialize, _PLAIN, {DOWN: DOWN}, dips=True)
+
+
+def _monic_table(b: SequenceSpec, lam: SequenceSpec) -> _Table:
+    return _cached_table(lam, "monic_table", b, lambda: _monic(
+        lambda top: (b.materialize(top), (0,) + lam.materialize(top)[1:])
+    ))
+
+
+class _Name(str):
+    """Formula text: indexing a sequence name appends the index, and '-'
+    and '*' build the factored form."""
+
+    def __getitem__(self, i: int) -> "_Name":
+        return _Name(f"{self}{i}")
+
+    def __sub__(self, other: str) -> "_Name":
+        return _Name(f"({self}-{other})")
+
+    def __mul__(self, other: str) -> "_Name":
+        return _Name(f"{self}*{other}")
+
+
+_FORMAL_MONIC = (_Name("b"), _Name("l"))
+
+
+def monic_formula(path: MotzkinPath) -> str:
+    """The monic weight of a plain path as factored text over the names
+    b{i} and l{i}, e.g. ``l2*(b1-b0)``; "1" when every factor is 1."""
+    return str(_fold(_monic(lambda top: _FORMAL_MONIC), path, 0))
+
 
 def path_weight_monic(path: MotzkinPath, b: SequenceSpec, lam: SequenceSpec) -> Scalar:
     """Product of monic edge weights over the path.
@@ -100,28 +260,7 @@ def path_weight_monic(path: MotzkinPath, b: SequenceSpec, lam: SequenceSpec) -> 
         raise ValueError("monic weights are defined on plain paths only")
     if not path.is_boundary_valid():
         raise ValueError(f"path {path} dips below the permitted boundary")
-    top = path.start + len(path.steps) + 1
-    bv, lv = b.materialize(top), lam.materialize(top)
-    steps = path.steps
-    last = len(steps) - 1
-    total: Scalar = 1
-    x, j = 0, path.start
-    for idx, step in enumerate(steps):
-        if step == ACROSS:
-            total = total * (bv[j] - bv[x])
-        elif step == DOWN:
-            if idx < last and steps[idx + 1] == UP:
-                if j == 0:
-                    total = total * (-lv[x + 1])
-                else:
-                    total = total * (lv[j] - lv[x + 1])
-            else:
-                total = total * lv[j]
-            j -= 1
-        else:  # U contributes 1
-            j += 1
-        x += 1
-    return total
+    return _fold(_monic_table(b, lam), path, path.start + len(path.steps) + 1)
 
 
 def monic_prefactor(n: int, lam: SequenceSpec) -> Scalar:
@@ -155,7 +294,88 @@ def strict_monic_weight_sum(
     )
 
 
-# -- two-family weights ----------------------------------------------------
+# -- the two-family tables --------------------------------------------------
+
+# Per-edge choice tags.  H edges keep their whole weight as one atomic
+# factor; every other edge picks one monomial of its weight.  Tags whose
+# monomial mentions alpha' are "marked" and get cancelled by the
+# involution, except the -gamma'*alpha' monomial of HH which survives.
+H_ATOM = "H"
+U_GAMMA = "U:g"
+U_APRIME = "U:-a'"
+D_ALPHA = "D:a"
+D_APRIME = "D:-a'"
+HH_ALPHA = "HH:a"
+HH_GAMMA = "HH:g"
+HH_APRIME = "HH:-a'"
+HH_GPRIME = "HH:-g'"
+
+_MARKED = frozenset({U_APRIME, D_APRIME, HH_ALPHA, HH_GAMMA, HH_APRIME})
+_NEGATIVE = frozenset({U_APRIME, D_APRIME, HH_APRIME, HH_GPRIME})
+
+_TWO_FAMILY_LEAVES = {UP: UP, DOWN: DOWN}
+
+
+def _monomials(
+    c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int
+) -> List[Tuple[str, Scalar]]:
+    """The tagged monomials of a two-family edge; none at the path's end."""
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = c
+    if step == ACROSS:
+        return [(H_ATOM, beta[j] - beta_p[x])]
+    if step == UP:
+        out = [(U_GAMMA, gamma[j])]
+        if ctx == DOWN:
+            out.append((U_APRIME, -alpha_p[x]))
+        return out
+    if step == DOWN:
+        out = [(D_ALPHA, alpha[j])]
+        if ctx == UP:
+            out.append((D_APRIME, -alpha_p[x]))
+        return out
+    if step == ACROSS2:
+        nxt = alpha_p[x + 1]
+        out = [(HH_ALPHA, alpha[j] * nxt)] if j >= 1 else []
+        out.append((HH_GAMMA, gamma[j] * nxt))
+        if ctx is not None:
+            out.append((HH_APRIME, -(alpha_p[x] * nxt)))
+        out.append((HH_GPRIME, -(gamma_p[x] * nxt)))
+        return out
+    return []
+
+
+def _sum_rule(keep: Callable[[str], bool]) -> Rule:
+    """The rule whose factor sums the monomials with tags ``keep`` admits."""
+
+    def rule(c, ctx, step, x, j):
+        total: Factor = None
+        for tag, value in _monomials(c, ctx, step, x, j):
+            if keep(tag):
+                total = value if total is None else total + value
+        return total
+
+    return rule
+
+
+_MIXED_RULE = _sum_rule(lambda tag: True)
+_MERGED_RULE = _sum_rule(lambda tag: tag not in _MARKED)
+
+
+def _two_family_table(
+    sys: CoefficientSystem, sys_prime: CoefficientSystem, merged: bool = False
+) -> _Table:
+    name = "merged_table" if merged else "mixed_table"
+    return _cached_table(sys, name, sys_prime, lambda: _Table(
+        _MERGED_RULE if merged else _MIXED_RULE,
+        lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
+        _GENERALIZED, _TWO_FAMILY_LEAVES,
+    ))
+
+
+def _two_family_top(path: MotzkinPath) -> int:
+    """An index bound for every edge of the path (levels, x and x + 1)."""
+    return path.start + 2 * len(path.steps) + 1
+
 
 def path_weight_mixed(
     path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
@@ -163,42 +383,7 @@ def path_weight_mixed(
     """Product of two-family edge weights over a generalized path."""
     if not path.is_standard():
         raise ValueError(f"path {path} dips below the axis")
-    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
-    total: Scalar = 1
-    prev: Optional[str] = None
-    i, j = 0, path.start
-    for step in path.steps:
-        if step == ACROSS:
-            f = beta[j] - beta_p[i]
-        elif step == UP:
-            f = gamma[j]
-            if prev == DOWN:
-                f = f - alpha_p[i]
-            j += 1
-        elif step == DOWN:
-            f = alpha[j]
-            if prev == UP:
-                f = f - alpha_p[i]
-            j -= 1
-        else:  # ACROSS2
-            base = alpha[j] + gamma[j] - gamma_p[i]
-            if prev in (UP, DOWN):
-                base = base - alpha_p[i]
-            f = base * alpha_p[i + 1]
-            i += 1
-        total = total * f
-        prev = step
-        i += 1
-    return total
-
-
-def _two_family(
-    path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
-) -> Tuple[Tuple[Scalar, ...], ...]:
-    """alpha, beta, gamma, alpha', beta', gamma' materialized far enough
-    for every edge of the path (levels and positions, alpha'[x + 1])."""
-    top = path.start + 2 * len(path.steps) + 1
-    return (*sys.materialize(top), *sys_prime.materialize(top))
+    return _fold(_two_family_table(sys, sys_prime), path, _two_family_top(path))
 
 
 def path_weight_merged(
@@ -207,18 +392,7 @@ def path_weight_merged(
     """Product of merged (context-free) edge weights over a generalized path."""
     if not path.is_standard():
         raise ValueError(f"path {path} dips below the axis")
-    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
-    total: Scalar = 1
-    for i, j, step in path.edges():
-        if step == ACROSS:
-            total = total * (beta[j] - beta_p[i])
-        elif step == UP:
-            total = total * gamma[j]
-        elif step == DOWN:
-            total = total * alpha[j]
-        else:
-            total = total * (-(gamma_p[i] * alpha_p[i + 1]))
-    return total
+    return _fold(_two_family_table(sys, sys_prime, merged=True), path, _two_family_top(path))
 
 
 def mixed_prefactor(
@@ -256,23 +430,6 @@ def path_sum_mixed(
 
 # -- monomial choices and the sign-reversing involution ---------------------
 
-# Per-edge choice tags.  H edges keep their whole weight as one atomic
-# factor; every other edge picks one monomial of its weight.  Tags whose
-# monomial mentions alpha' are "marked" and get cancelled by the
-# involution, except the -gamma'*alpha' monomial of HH which survives.
-H_ATOM = "H"
-U_GAMMA = "U:g"
-U_APRIME = "U:-a'"
-D_ALPHA = "D:a"
-D_APRIME = "D:-a'"
-HH_ALPHA = "HH:a"
-HH_GAMMA = "HH:g"
-HH_APRIME = "HH:-a'"
-HH_GPRIME = "HH:-g'"
-
-_MARKED = frozenset({U_APRIME, D_APRIME, HH_ALPHA, HH_GAMMA, HH_APRIME})
-_NEGATIVE = frozenset({U_APRIME, D_APRIME, HH_APRIME, HH_GPRIME})
-
 
 @dataclass(frozen=True)
 class WeightedTerm:
@@ -288,23 +445,27 @@ class WeightedTerm:
     value: Scalar
 
 
-def _edge_choices(
-    path: MotzkinPath, prev: Optional[str], lvl: int, step: str
-) -> List[str]:
-    if step == ACROSS:
-        return [H_ATOM]
-    if step == UP:
-        return [U_GAMMA, U_APRIME] if prev == DOWN else [U_GAMMA]
-    if step == DOWN:
-        return [D_ALPHA, D_APRIME] if prev == UP else [D_ALPHA]
-    choices = []
-    if lvl >= 1:  # alpha[0] = 0, so that monomial does not exist at level 0
-        choices.append(HH_ALPHA)
-    choices.append(HH_GAMMA)
-    if prev in (UP, DOWN):
-        choices.append(HH_APRIME)
-    choices.append(HH_GPRIME)
-    return choices
+def _edge_monomials(
+    path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
+) -> List[Dict[str, Scalar]]:
+    """Each edge's monomials by tag, read from the two-family table."""
+    c = _two_family_table(sys, sys_prime).coefficients(_two_family_top(path))
+    out = []
+    ctx: Optional[str] = None
+    for x, j, step in path.edges():
+        out.append(dict(_monomials(c, ctx, step, x, j)))
+        ctx = _TWO_FAMILY_LEAVES.get(step)
+    return out
+
+
+def _term(path: MotzkinPath, chosen: List[Tuple[str, Scalar]]) -> WeightedTerm:
+    sign = 1
+    value: Scalar = 1
+    for tag, v in chosen:
+        value = value * v
+        if tag in _NEGATIVE:
+            sign = -sign
+    return WeightedTerm(path, tuple(tag for tag, _ in chosen), sign, value)
 
 
 def make_term(
@@ -314,51 +475,24 @@ def make_term(
     sys_prime: CoefficientSystem,
 ) -> WeightedTerm:
     """Build a term from its choice tags, validating each against its context."""
-    edges = path.edges()
+    edges = _edge_monomials(path, sys, sys_prime)
     if len(tags) != len(edges):
         raise ValueError("one choice tag per edge is required")
-    alpha, beta, gamma, alpha_p, beta_p, gamma_p = _two_family(path, sys, sys_prime)
-    sign = 1
-    value: Scalar = 1
-    prev: Optional[str] = None
-    for (i, j, step), tag in zip(edges, tags):
-        if tag not in _edge_choices(path, prev, j, step):
-            raise ValueError(f"tag {tag!r} not available for {step} after {prev}")
-        if tag == H_ATOM:
-            value = value * (beta[j] - beta_p[i])
-        elif tag == U_GAMMA:
-            value = value * gamma[j]
-        elif tag == U_APRIME or tag == D_APRIME:
-            value = value * (-alpha_p[i])
-        elif tag == D_ALPHA:
-            value = value * alpha[j]
-        elif tag == HH_ALPHA:
-            value = value * (alpha[j] * alpha_p[i + 1])
-        elif tag == HH_GAMMA:
-            value = value * (gamma[j] * alpha_p[i + 1])
-        elif tag == HH_APRIME:
-            value = value * (-(alpha_p[i] * alpha_p[i + 1]))
-        elif tag == HH_GPRIME:
-            value = value * (-(gamma_p[i] * alpha_p[i + 1]))
-        else:
-            raise ValueError(f"unknown tag {tag!r}")
-        if tag in _NEGATIVE:
-            sign = -sign
-        prev = step
-    return WeightedTerm(path, tags, sign, value)
+    for e, (tag, monomials) in enumerate(zip(tags, edges)):
+        if tag not in monomials:
+            prev = path.steps[e - 1] if e else None
+            raise ValueError(f"tag {tag!r} not available for {path.steps[e]} after {prev}")
+    return _term(path, [(tag, monomials[tag]) for tag, monomials in zip(tags, edges)])
 
 
 def expand_choices(
     path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
 ) -> List[WeightedTerm]:
     """All monomial-choice terms of a path; their values sum to its weight."""
-    options: List[List[str]] = []
-    prev: Optional[str] = None
-    for _, j, step in path.edges():
-        options.append(_edge_choices(path, prev, j, step))
-        prev = step
+    edges = _edge_monomials(path, sys, sys_prime)
     return [
-        make_term(path, tags, sys, sys_prime) for tags in iter_product(*options)
+        _term(path, list(chosen))
+        for chosen in iter_product(*(list(monomials.items()) for monomials in edges))
     ]
 
 
@@ -444,7 +578,7 @@ def dp_sum(
 ) -> Scalar:
     """Transfer-matrix evaluation of a weighted path sum (no prefactor).
 
-    ``weights`` selects the system: "monic" (requires a monic ``sys``;
+    ``weights`` selects the table: "monic" (requires a monic ``sys``;
     matches ``path_sum_monic``'s weight_sum, boundary dips included),
     "mixed", "merged", or "count" (unweighted plain-path census).  Equals
     the corresponding enumeration sum exactly; the state space is
@@ -452,117 +586,16 @@ def dp_sum(
     neighboring edges.
     """
     if weights == "count":
-        return _dp_count(m, n, k)
+        count = _Table(lambda *edge: None, lambda top: (), _PLAIN, {})
+        return _dp(count, m, n, k, 0)
     if weights == "monic":
         if sys is None:
             raise ValueError("monic dp_sum needs a coefficient system")
         b, lam = monic_b_lambda(sys, m + k + 1)
-        return _dp_monic(m, n, k, b, lam)
+        return _dp(_monic_table(b, lam), m, n, k, m + k + 1)
     if weights in ("mixed", "merged"):
         if sys is None or sys_prime is None:
             raise ValueError("two-family dp_sum needs both coefficient systems")
-        return _dp_two_family(m, n, k, sys, sys_prime, merged=(weights == "merged"))
+        table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
+        return _dp(table, m, n, k, m + k + 1)
     raise ValueError(f"unknown weight system {weights!r}")
-
-
-def _dp_count(m: int, n: int, k: int) -> int:
-    states = {m: 1}
-    for _ in range(k):
-        nxt: Dict[int, int] = {}
-        for lvl, c in states.items():
-            for new in (lvl + 1, lvl - 1, lvl):
-                if new >= 0:
-                    nxt[new] = nxt.get(new, 0) + c
-        states = nxt
-    return states.get(n, 0)
-
-
-def _dp_monic(m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec) -> Scalar:
-    # state: (level, pending) where pending means the previous edge was a
-    # D whose weight is deferred until its follower is known
-    bv, lv = b.materialize(m + k + 1), lam.materialize(m + k + 1)
-    states: Dict[Tuple[int, bool], Scalar] = {(m, False): 1}
-    for x in range(k):
-        nxt: Dict[Tuple[int, bool], Scalar] = {}
-
-        def put(key: Tuple[int, bool], val: Scalar) -> None:
-            nxt[key] = nxt.get(key, 0) + val
-
-        for (lvl, pending), acc in states.items():
-            if lvl < 0:
-                # inside a boundary dip: the pending D started at level 0
-                # and must be followed by U, with lam[0] treated as 0
-                put((0, False), acc * (-lv[x]))
-                continue
-            resolved = acc * lv[lvl + 1] if pending else acc
-            # U
-            up_acc = acc * (lv[lvl + 1] - lv[x]) if pending else acc
-            put((lvl + 1, False), up_acc)
-            # D
-            if lvl >= 1:
-                put((lvl - 1, True), resolved)
-            else:
-                put((-1, True), resolved)
-            # H
-            put((lvl, False), resolved * (bv[lvl] - bv[x]))
-        states = nxt
-    total: Scalar = 0
-    for (lvl, pending), acc in states.items():
-        if lvl != n:
-            continue
-        total = total + (acc * lv[lvl + 1] if pending else acc)
-    return total
-
-
-def _dp_two_family(
-    m: int,
-    n: int,
-    k: int,
-    sys: CoefficientSystem,
-    sys_prime: CoefficientSystem,
-    merged: bool,
-) -> Scalar:
-    # state: (x, level, previous step class); HH advances x by two
-    alpha, beta, gamma = sys.materialize(m + k + 1)
-    alpha_p, beta_p, gamma_p = sys_prime.materialize(m + k + 1)
-    states: Dict[Tuple[int, int, Optional[str]], Scalar] = {(0, m, None): 1}
-    total: Scalar = 0
-    for x in range(k + 1):
-        current = [(key, v) for key, v in states.items() if key[0] == x]
-        for key, _ in current:
-            del states[key]
-
-        def put(key: Tuple[int, int, Optional[str]], val: Scalar) -> None:
-            states[key] = states.get(key, 0) + val
-
-        for (_, lvl, prev), acc in current:
-            if x == k:
-                if lvl == n:
-                    total = total + acc
-                continue
-            rem = k - x
-            # U
-            f = gamma[lvl]
-            if not merged and prev == DOWN:
-                f = f - alpha_p[x]
-            put((x + 1, lvl + 1, UP), acc * f)
-            # D
-            if lvl >= 1:
-                f = alpha[lvl]
-                if not merged and prev == UP:
-                    f = f - alpha_p[x]
-                put((x + 1, lvl - 1, DOWN), acc * f)
-            # H
-            f = beta[lvl] - beta_p[x]
-            put((x + 1, lvl, ACROSS), acc * f)
-            # HH
-            if rem >= 2:
-                if merged:
-                    f = -(gamma_p[x] * alpha_p[x + 1])
-                else:
-                    base = alpha[lvl] + gamma[lvl] - gamma_p[x]
-                    if prev in (UP, DOWN):
-                        base = base - alpha_p[x]
-                    f = base * alpha_p[x + 1]
-                put((x + 2, lvl, ACROSS2), acc * f)
-    return total
