@@ -99,13 +99,12 @@ def _load_prime(args: argparse.Namespace, fallback: CoefficientSystem) -> Coeffi
 
 def _path_totals(args: argparse.Namespace, sys_: CoefficientSystem):
     """k -> L(p_m p_n p_k) as prefactor times the DP path sum.  Monic: the
-    system is read as monic up to m + n + 1, the indices the product
+    system is checked as monic up to m + n + 1, the indices the product
     involves.  Mixed: p_m * p'_n with the system as its own second family."""
     m, n = args.m, args.n
     if args.method == "monic":
-        b, lam = monic_b_lambda(sys_, m + n + 1)
-        monic = monic_system(b, lam)
-        return lambda k: monic_prefactor(n, lam) * dp_sum(m, n, k, "monic", monic)
+        _, lam = monic_b_lambda(sys_, m + n + 1)
+        return lambda k: monic_prefactor(n, lam) * dp_sum(m, n, k, "monic", sys_)
     return lambda k: mixed_prefactor(m, n, sys_, sys_) * dp_sum(m, k, n, "mixed", sys_, sys_)
 
 

@@ -84,24 +84,22 @@ class MotzkinPath:
 
     def is_standard(self) -> bool:
         """True when every vertex lies at or above the axis."""
-        return all(y >= 0 for _, y in self.vertices())
+        y = self.start  # nonnegative, checked at construction
+        for s in self.steps:
+            y += _DY[s]
+            if y < 0:
+                return False
+        return True
 
     def is_boundary_valid(self) -> bool:
         """Standard, except D,U excursions from level 0 may touch level -1."""
-        verts = self.vertices()
-        for i, (_, y) in enumerate(verts):
-            if y >= 0:
-                continue
-            if y < -1:
-                return False
-            if i == 0 or i == len(verts) - 1:
-                return False
-            if not (
-                verts[i - 1][1] == 0
-                and verts[i + 1][1] == 0
-                and self.steps[i - 1] == DOWN
-                and self.steps[i] == UP
-            ):
+        steps = self.steps
+        y = self.start
+        for t, s in enumerate(steps):
+            y += _DY[s]
+            # a vertex below the axis must be level -1, entered by a D from
+            # level 0 and left by a U back to it
+            if y < 0 and not (y == -1 and s == DOWN and steps[t + 1 : t + 2] == (UP,)):
                 return False
         return True
 

@@ -9,11 +9,17 @@ Every computation in this package runs in one of two scalar domains:
   in indeterminates such as ``b3``, ``l4``, ``a'2``.
 
 A ``Poly`` is stored as a dict from monomial to nonzero int coefficient.
-A monomial is a sorted tuple of ``(family_rank, index, exponent)``
-triples, e.g. ``b3^2`` -> ``((0, 3, 2),)``.  The empty tuple is the
-constant monomial.  Canonical form never stores zero coefficients, so
-equality is plain dict equality and is independent of how a value was
-built.
+A monomial is a tuple of ``(family_rank, index, exponent)`` triples,
+e.g. ``b3^2`` -> ``((0, 3, 2),)``.  The empty tuple is the constant
+monomial.  Canonical form: the factors are strictly increasing in
+``(family_rank, index)``, every exponent is at least 1, and no
+coefficient is zero.  So equality is plain dict equality, independent
+of how a value was built, and a product of two monomials is a merge of
+two sorted tuples.
+
+``str`` lists terms by descending degree, and within one degree by
+descending monomial tuple.  Two distinct monomials of equal degree are
+never prefixes of one another, because every exponent is at least 1.
 
 Mixing the two domains (``Fraction`` with ``Poly``) is an input error
 and raises :class:`DomainMismatchError`.  There is deliberately no
@@ -179,15 +185,18 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        outer, inner = self._terms, rhs._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner_items = tuple(inner.items())
         out: Dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in rhs._terms.items():
+        get = out.get
+        for m1, c1 in outer.items():
+            for m2, c2 in inner_items:
                 mono = _mul_monomials(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
+                out[mono] = get(mono, 0) + c1 * c2
+        if 0 in out.values():
+            out = {mono: coeff for mono, coeff in out.items() if coeff}
         return Poly._trusted(out)
 
     __rmul__ = __mul__
@@ -215,44 +224,50 @@ class Poly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for mono in sorted(self._terms, key=_display_key):
-            coeff = self._terms[mono]
-            body = _format_monomial(mono)
+        out = []
+        for mono, coeff in sorted(
+            self._terms.items(),
+            key=lambda term: (sum([f[2] for f in term[0]]), term[0]),
+            reverse=True,
+        ):
+            body = "*".join([
+                f"{FAMILIES[rank]}{index}" if exp == 1 else f"{FAMILIES[rank]}{index}^{exp}"
+                for rank, index, exp in mono
+            ])
             mag = abs(coeff)
-            if body:
-                text = body if mag == 1 else f"{mag}*{body}"
-            else:
-                text = str(mag)
-            parts.append(("-" if coeff < 0 else "+", text))
-        sign, first = parts[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, text in parts[1:]:
-            out += f" {sign} {text}"
-        return out
+            out.append(" - " if coeff < 0 else " + ")
+            out.append((body if mag == 1 else f"{mag}*{body}") if body else str(mag))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: Dict[Tuple[int, int], int] = {}
-    for rank, index, exp in m1 + m2:
-        exps[(rank, index)] = exps.get((rank, index), 0) + exp
-    return tuple(sorted((r, i, e) for (r, i), e in exps.items()))
-
-
-def _display_key(mono: Monomial):
-    degree = sum(e for _, _, e in mono)
-    return (-degree, tuple((-r, -i, -e) for r, i, e in mono))
-
-
-def _format_monomial(mono: Monomial) -> str:
-    factors = []
-    for rank, index, exp in mono:
-        name = f"{FAMILIES[rank]}{index}"
-        factors.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(factors)
+    """Product of two canonical monomials: a merge of their factor tuples,
+    adding exponents where ``(rank, index)`` match."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        r1, x1, e1 = m1[i]
+        r2, x2, e2 = m2[j]
+        if r1 == r2 and x1 == x2:
+            out.append((r1, x1, e1 + e2))
+            i += 1
+            j += 1
+        elif r1 < r2 or (r1 == r2 and x1 < x2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def indet(family: str, index: int) -> Poly:
@@ -303,6 +318,8 @@ def parse_polynomial(text: str) -> Poly:
             if not m or m.group(1) not in _FAMILY_RANK:
                 raise ValueError(f"bad factor {factor!r} in {text!r}")
             family, index, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+            if exp == 0:
+                raise ValueError(f"zero exponent in factor {factor!r} of {text!r}")
             mono = _mul_monomials(
                 mono, ((_FAMILY_RANK[family], index, exp),)
             )

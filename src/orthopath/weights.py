@@ -591,8 +591,10 @@ def dp_sum(
     if weights == "monic":
         if sys is None:
             raise ValueError("monic dp_sum needs a coefficient system")
-        b, lam = monic_b_lambda(sys, m + k + 1)
-        return _dp(_monic_table(b, lam), m, n, k, m + k + 1)
+        # the largest index the rule reads, and at least max(m, n, k)
+        top = max(m, n, k, (m + n + k) // 2 + 1)
+        b, lam = monic_b_lambda(sys, top)
+        return _dp(_monic_table(b, lam), m, n, k, top)
     if weights in ("mixed", "merged"):
         if sys is None or sys_prime is None:
             raise ValueError("two-family dp_sum needs both coefficient systems")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from orthopath.cli import main
 from conftest import SYSTEMS_DIR
@@ -254,3 +258,15 @@ def test_verify_exit_1_on_binding_mismatch(capsys, monkeypatch):
                        "--system", MONOTONE_MONIC, "--format", "records")
     assert code == 1
     assert json.loads(out.strip())["match"] is False
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    argv = ["symbolic", "--m", "2", "--n", "2", "--k", "2"]
+    done = subprocess.run([sys.executable, "-m", "orthopath", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == run(capsys, *argv)[1]
+    bad = subprocess.run([sys.executable, "-m", "orthopath", "moments", "--max", "-1"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2

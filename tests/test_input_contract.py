@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from orthopath import parse_rational, system_from_json
+from orthopath import dp_sum, monic_b_lambda, parse_rational, path_sum_monic, system_from_json
 from orthopath.cli import main
 from conftest import SYSTEMS_DIR
 
@@ -221,3 +221,21 @@ def test_fuzzed_system_json_exits_0_or_2(tmp_path_factory, obj):
         assert code in (0, 2), (command, obj)
         if code == 2:
             assert err.getvalue().startswith("error: ")
+
+
+def test_monic_dp_reads_only_the_indices_its_paths_use():
+    # dp_sum(2, 1, 3) reads b and lam up to index (2 + 1 + 3) // 2 + 1 = 4,
+    # which a 5-long system has
+    short = system_from_json(explicit_monic(5))
+    b, lam = monic_b_lambda(short, 4)
+    assert dp_sum(2, 1, 3, "monic", short) == path_sum_monic(2, 1, 3, b, lam).weight_sum
+
+
+def test_lincoef_monic_on_a_short_system_prints_the_oracle_values(capsys, tmp_path):
+    short = write_system(tmp_path, explicit_monic(5), "short.json")
+    code, oracle_out, _ = run(capsys, "lincoef", "--m", 2, "--n", 1, "--system", short)
+    assert code == 0
+    code, monic_out, _ = run(capsys, "lincoef", "--m", 2, "--n", 1, "--method", "monic",
+                             "--system", short)
+    assert code == 0
+    assert monic_out == oracle_out

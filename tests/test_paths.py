@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -224,3 +225,37 @@ def test_merge_preimages_inverts_merge(m, n, k):
         assert (path, paving) in merge_preimages(merged)
     for merged, group in by_merged.items():
         assert sorted(merge_preimages(merged), key=repr) == sorted(group, key=repr)
+
+
+# -- validation ----------------------------------------------------------------
+
+def _standard_by_vertices(path):
+    return all(y >= 0 for _, y in path.vertices())
+
+
+def _boundary_valid_by_vertices(path):
+    verts = path.vertices()
+    for i, (_, y) in enumerate(verts):
+        if y >= 0:
+            continue
+        if y < -1 or i == 0 or i == len(verts) - 1:
+            return False
+        if not (verts[i - 1][1] == 0 and verts[i + 1][1] == 0
+                and path.steps[i - 1] == "D" and path.steps[i] == "U"):
+            return False
+    return True
+
+
+def test_validation_scan_matches_the_vertex_definition():
+    verdicts = Counter()
+    for length in range(8):
+        for steps in product(("U", "D", "H", "HH"), repeat=length):
+            for start in range(3):
+                path = MotzkinPath(start, steps)
+                standard = _standard_by_vertices(path)
+                boundary = _boundary_valid_by_vertices(path)
+                assert path.is_standard() == standard, path
+                assert path.is_boundary_valid() == boundary, path
+                verdicts[standard, boundary] += 1
+    # every verdict pair that can occur does: dips admitted and refused
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}
