@@ -13,9 +13,9 @@ A monomial is a tuple of ``(family_rank, index, exponent)`` triples,
 e.g. ``b3^2`` -> ``((0, 3, 2),)``.  The empty tuple is the constant
 monomial.  Canonical form: the factors are strictly increasing in
 ``(family_rank, index)``, every exponent is at least 1, and no
-coefficient is zero.  So equality is plain dict equality, independent
-of how a value was built, and a product of two monomials is a merge of
-two sorted tuples.
+coefficient is zero; the constructor rejects any other monomial.  So
+equality is plain dict equality, independent of how a value was built,
+and a product of two monomials is a merge of two sorted tuples.
 
 ``str`` lists terms by descending degree, and within one degree by
 descending monomial tuple.  Two distinct monomials of equal degree are
@@ -88,6 +88,20 @@ def _check_int_coeff(c: object) -> int:
     return c
 
 
+def _check_monomial(mono: Monomial) -> None:
+    """Reject a monomial that is not canonical: factors out of order, a
+    variable repeated, or an exponent below 1."""
+    prev = None
+    for rank, index, exp in mono:
+        if exp < 1:
+            raise ValueError(f"monomial exponents must be at least 1: {mono!r}")
+        if prev is not None and (rank, index) <= prev:
+            raise ValueError(
+                f"monomial factors must be strictly increasing in (family, index): {mono!r}"
+            )
+        prev = (rank, index)
+
+
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -101,6 +115,7 @@ class Poly:
         if terms:
             for mono, coeff in terms.items():
                 _check_int_coeff(coeff)
+                _check_monomial(mono)
                 if coeff != 0:
                     clean[mono] = coeff
         self._terms = clean

@@ -2,8 +2,9 @@
 
 Everything here is deliberately separate from the library code paths it
 checks: counting recurrences, a standalone recursive path enumerator,
-the moment transfer evaluation, and the path/paving pair model that the
-merge identities are stated against.
+the moment transfer evaluation, the path/paving pair model that the
+merge identities are stated against, and a plain dict-of-Fraction
+three-term recurrence for the oracle's expansions and moments.
 """
 
 from fractions import Fraction
@@ -97,3 +98,40 @@ def pair_weight_mixed(path, paving, sys, sys_prime):
         else:
             w = w * (-(sys_prime.gamma.at(block[0] - 1) * sys_prime.alpha.at(block[0])))
     return w
+
+
+def _times_x(vec, sys):
+    """x * vec in the p-basis of sys, as dict-of-Fraction arithmetic."""
+    out = {}
+    for t, c in vec.items():
+        out[t + 1] = out.get(t + 1, 0) + c * sys.alpha.at(t + 1)
+        out[t] = out.get(t, 0) + c * sys.beta.at(t)
+        if t >= 1:
+            out[t - 1] = out.get(t - 1, 0) + c * sys.gamma.at(t - 1)
+    return {t: c for t, c in out.items() if c != 0}
+
+
+def recurrence_products(m, top, sys, sys_prime):
+    """[p_m * q_j for j = 0..top] in the p-basis of sys, where q runs the
+    three-term recurrence of sys_prime:
+    alpha'[j+1] q_{j+1} = (x - beta'[j]) q_j - gamma'[j-1] q_{j-1}."""
+    vecs = [{m: Fraction(1)}]
+    for j in range(top):
+        nxt = _times_x(vecs[-1], sys)
+        for t, c in vecs[-1].items():
+            nxt[t] = nxt.get(t, 0) - sys_prime.beta.at(j) * c
+        if j >= 1:
+            for t, c in vecs[-2].items():
+                nxt[t] = nxt.get(t, 0) - sys_prime.gamma.at(j - 1) * c
+        lead = Fraction(sys_prime.alpha.at(j + 1))
+        vecs.append({t: c / lead for t, c in nxt.items() if c != 0})
+    return vecs
+
+
+def recurrence_moments(count, sys):
+    """[mu_0, ..., mu_count]: the coefficient of p_0 in x^n * p_0."""
+    vec, mus = {0: Fraction(1)}, [Fraction(1)]
+    for _ in range(count):
+        vec = _times_x(vec, sys)
+        mus.append(vec.get(0, Fraction(0)))
+    return mus

@@ -270,3 +270,24 @@ def test_python_dash_m_runs_the_cli(capsys):
     bad = subprocess.run([sys.executable, "-m", "orthopath", "moments", "--max", "-1"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert bad.returncode == 2
+
+
+def test_zero_alpha_is_an_input_error_even_where_the_walk_cancels(capsys, tmp_path):
+    # alpha[2] = 0: (x - beta[1]) p_1 - gamma[0] p_0 vanishes, so p_1 * q_2
+    # cancels to nothing before it is divided by alpha[2]
+    spec = {
+        "alpha": {"family": "explicit", "values": ["1", "1", "0", "1", "2", "1", "1"]},
+        "beta": {"family": "constant", "value": "1"},
+        "gamma": {"family": "constant", "value": "1"},
+    }
+    path = tmp_path / "zero_alpha.json"
+    path.write_text(json.dumps(spec))
+    for argv in (
+        ("lincoef", "--m", "1", "--n", "3"),
+        ("lincoef", "--m", "1", "--n", "3", "--method", "mixed"),
+        ("connect", "--m", "1", "--k", "3"),
+    ):
+        code, out, err = run(capsys, *argv, "--system", str(path))
+        assert (code, out, err) == (2, "", "error: division by zero coefficient\n"), argv
+    code, _, _ = run(capsys, "lincoef", "--m", "1", "--n", "1", "--system", str(path))
+    assert code == 0

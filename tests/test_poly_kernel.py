@@ -96,3 +96,18 @@ def test_parse_merges_repeated_factors():
 def test_parse_rejects_a_zero_exponent(text):
     with pytest.raises(ValueError, match="zero exponent"):
         parse_polynomial(text)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        ((0, 3, 1), (0, 1, 1)),  # factors out of order
+        ((0, 1, 1), (0, 1, 2)),  # one variable twice
+        ((0, 3, 0),),  # exponent below 1
+    ],
+    ids=["unsorted", "repeated", "zero-exponent"],
+)
+def test_constructor_rejects_non_canonical_monomials(mono):
+    with pytest.raises(ValueError, match="monomial"):
+        Poly({mono: 1})
+

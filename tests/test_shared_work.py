@@ -5,8 +5,9 @@ tests hold them to the independent public functions that still compute
 them from scratch.  Work counters pin that each instance enumerates once,
 that one oracle expansion serves every target of a product, that each
 coefficient is evaluated once per sequence, and that the moment chain is
-walked once.  The sha256 pins hold ``verify`` and ``positivity`` output
-to fixed bytes, so later performance work cannot change it.
+walked once.  The sha256 pins hold ``verify`` and ``positivity`` output,
+and the oracle-only ``lincoef``, ``connect`` and ``moments`` output, to
+fixed bytes, so later performance work cannot change it.
 """
 
 import hashlib
@@ -99,6 +100,55 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+HERMITE = str(SYSTEMS_DIR / "hermite_like.json")
+SYMBOLIC = str(SYSTEMS_DIR / "symbolic_monic.json")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("lincoef", "--m", "12", "--n", "12", "--system", MONOTONE),
+            "6885b6158539b4af32d18214a839bd3c087f5ea9b256701a1fd1cb9f3ff4716f",
+        ),
+        (
+            ("lincoef", "--m", "12", "--n", "12", "--system", HERMITE),
+            "86101d0427ec71b4278027d17bdb20e431efd26ec850402afc06c35db9e6e307",
+        ),
+        (
+            ("moments", "--max", "20", "--system", MONOTONE),
+            "2e5b333ce112fd00bee61d0dc611148be087fe87f2229b1028772da91cbd3018",
+        ),
+        (
+            ("moments", "--max", "20", "--system", HERMITE),
+            "25920e74d8a398d729451faf6e6f56ccf1a4bcf973407895c0386408f1cfea31",
+        ),
+        (
+            ("connect", "--m", "6", "--k", "12", "--system", MONOTONE,
+             "--system-prime", MONOTONE_PRIME),
+            "d4713932412f8a0078620c10becb6cc0e9324e0ad473b3443561bf0c9b37ff26",
+        ),
+        (
+            ("lincoef", "--m", "4", "--n", "5", "--system", SYMBOLIC),
+            "aaa08960e02f44ed8011b90978fae09701e84c7001a5a37da5becd870e24a5fe",
+        ),
+        (
+            ("moments", "--max", "8", "--system", SYMBOLIC),
+            "cce984392e9ceec780ca0b265b33737a33d6c1ad5fc8456d3a939ba5972b65b7",
+        ),
+    ],
+    ids=[
+        "lincoef-monotone", "lincoef-hermite", "moments-monotone",
+        "moments-hermite", "connect-monotone", "lincoef-symbolic",
+        "moments-symbolic",
+    ],
+)
+def test_oracle_output_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that counts its calls."""
     calls = []
@@ -122,7 +172,7 @@ def test_each_verify_instance_enumerates_once(capsys, monkeypatch):
 def test_one_oracle_expansion_serves_every_target(capsys, monkeypatch):
     products = counting(monkeypatch, oracle_mod, "expand_product")
     mixed = counting(monkeypatch, oracle_mod, "mixed_expand")
-    steps = counting(monkeypatch, oracle_mod, "multiply_by_x")
+    steps = counting(monkeypatch, oracle_mod, "_step")
     verify_records(capsys, 2)
     assert len(products) == 3 * 3  # once per (m, n)
     assert len(mixed) == 3 * 3  # once per (m, k')
@@ -145,7 +195,7 @@ def test_each_coefficient_is_evaluated_once(capsys, monkeypatch):
 
 
 def test_moments_walk_the_chain_once(capsys, monkeypatch):
-    steps = counting(monkeypatch, oracle_mod, "multiply_by_x")
+    steps = counting(monkeypatch, oracle_mod, "_step")
     code, out = run(capsys, "moments", "--max", "10", "--system", CHEBYSHEV,
                     "--format", "records")
     assert code == 0
