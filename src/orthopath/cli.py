@@ -11,19 +11,30 @@ Subcommands:
 * ``moments``    mu_0 .. mu_N
 * ``symbolic``   expanded coefficient polynomial of a monic product
 
-Output is deterministic byte-for-byte for identical inputs.  ``--format
-records`` emits one JSON object per line with stable field names; the
-default is an aligned text table.  Exit status: 0 success, 1 when a
-verification mismatch (or a certificate contradicting its hypothesis
-report) was found, 2 for invalid input or configuration.
+Records come first: each ``_cmd_*`` checks its arguments, loads its
+systems and returns its records.  ``lincoef``, ``connect``, ``paths``,
+``moments`` and ``symbolic`` return a list, so an error leaves stdout
+empty; ``verify`` and ``positivity`` return a generator that streams each
+record as it is computed and returns the exit status.  ``main`` alone
+prints: ``--format records`` writes one JSON object per line with sorted
+keys, and the default table format renders the same records through the
+command's text view.
+
+Output is deterministic byte-for-byte for identical inputs.  Exit status:
+0 success, 1 when a verification mismatch (or a certificate contradicting
+its hypothesis report) was found, 2 for invalid input or configuration:
+``main`` prints ``error: ...`` on stderr, after whatever was streamed, for
+a ``ValueError``, ``OSError``, ``SequenceRangeError`` or
+``DomainMismatchError``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Generator, Iterable, Iterator, List, Optional, Sequence
 
 from . import oracle
 from .paths import enumerate_paths
@@ -35,13 +46,7 @@ from .positivity import (
     certify_monic,
     required_window,
 )
-from .scalars import (
-    DomainMismatchError,
-    UnsupportedDomainError,
-    format_scalar,
-    scalar_div,
-    scalar_sum,
-)
+from .scalars import DomainMismatchError, format_scalar, scalar_div, scalar_sum
 from .systems import (
     CoefficientSystem,
     SequenceRangeError,
@@ -66,21 +71,23 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 
+Stream = Generator[dict, None, int]
 
-def _emit_table(rows: List[Sequence[str]], header: Sequence[str]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+
+def _table(
+    header: Sequence[str],
+    rows: Iterable[Sequence[str]],
+    widths: Optional[Sequence[int]] = None,
+) -> Iterator[str]:
+    """Lines of an aligned table.  Each column is as wide as its widest
+    cell, which needs the whole table; fixed ``widths`` let rows stream."""
+    if widths is None:
+        rows = list(rows)
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*header).rstrip())
+    yield fmt.format(*header).rstrip()
     for row in rows:
-        print(fmt.format(*row).rstrip())
-
-
-def _emit_records(records: Iterable[dict]) -> None:
-    for rec in records:
-        print(json.dumps(rec, sort_keys=True))
+        yield fmt.format(*row).rstrip()
 
 
 def _load(args: argparse.Namespace) -> CoefficientSystem:
@@ -90,9 +97,15 @@ def _load(args: argparse.Namespace) -> CoefficientSystem:
 
 
 def _load_prime(args: argparse.Namespace, fallback: CoefficientSystem) -> CoefficientSystem:
-    if getattr(args, "system_prime", None):
+    if args.system_prime:
         return load_system(args.system_prime)
     return fallback
+
+
+def _require_nonnegative_max(args: argparse.Namespace) -> None:
+    # an empty range would pass vacuously
+    if args.max < 0:
+        raise ValueError(f"--max must be nonnegative, got {args.max}")
 
 
 # -- lincoef ---------------------------------------------------------------
@@ -108,63 +121,45 @@ def _path_totals(args: argparse.Namespace, sys_: CoefficientSystem):
     return lambda k: mixed_prefactor(m, n, sys_, sys_) * dp_sum(m, k, n, "mixed", sys_, sys_)
 
 
-def _cmd_lincoef(args: argparse.Namespace) -> int:
+def _cmd_lincoef(args: argparse.Namespace) -> List[dict]:
     sys_ = _load(args)
     table = oracle.expand_product(args.m, args.n, sys_)
     if args.method == "oracle":
-        entries = {k: (c, l) for k, c, l in table.rows()}
+        rows = table.rows()
     else:
         total_at = _path_totals(args, sys_)
-        entries = {}
+        rows = []
         for k in sorted(table.entries):
             total = total_at(k)
-            entries[k] = (
-                format_scalar(scalar_div(total, sys_.norm_squared(k))),
-                format_scalar(total),
-            )
-    label = f"a[{args.m},{args.n}]^k"
-    if args.format == "records":
-        _emit_records(
-            {
-                "command": "lincoef",
-                "m": args.m,
-                "n": args.n,
-                "k": k,
-                "coefficient": c,
-                "l_value": l,
-            }
-            for k, (c, l) in sorted(entries.items())
-        )
-    else:
-        rows = [(str(k), c, l) for k, (c, l) in sorted(entries.items())]
-        _emit_table(rows, ("k", label, f"L(p{args.m}*p{args.n}*pk)"))
-    return EXIT_OK
+            rows.append((k, format_scalar(scalar_div(total, sys_.norm_squared(k))),
+                         format_scalar(total)))
+    return [
+        {"command": "lincoef", "m": args.m, "n": args.n, "k": k,
+         "coefficient": c, "l_value": l}
+        for k, c, l in rows
+    ]
+
+
+def _lincoef_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    header = ("k", f"a[{args.m},{args.n}]^k", f"L(p{args.m}*p{args.n}*pk)")
+    return _table(header, ((str(r["k"]), r["coefficient"], r["l_value"]) for r in records))
 
 
 # -- connect ---------------------------------------------------------------
 
-def _cmd_connect(args: argparse.Namespace) -> int:
+def _cmd_connect(args: argparse.Namespace) -> List[dict]:
     sys_ = _load(args)
     prime = _load_prime(args, sys_)
-    table = oracle.mixed_expand(args.m, args.k, sys_, prime)
-    if args.format == "records":
-        _emit_records(
-            {
-                "command": "connect",
-                "m": args.m,
-                "k_prime": args.k,
-                "n": n,
-                "coefficient": c,
-                "l_value": l,
-            }
-            for n, c, l in table.rows()
-        )
-    else:
-        rows = [(str(n), c, l) for n, c, l in table.rows()]
-        _emit_table(
-            rows, ("n", f"b[{args.m},{args.k}']^n", f"L(p{args.m}*p'{args.k}*pn)")
-        )
-    return EXIT_OK
+    return [
+        {"command": "connect", "m": args.m, "k_prime": args.k, "n": n,
+         "coefficient": c, "l_value": l}
+        for n, c, l in oracle.mixed_expand(args.m, args.k, sys_, prime).rows()
+    ]
+
+
+def _connect_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    header = ("n", f"b[{args.m},{args.k}']^n", f"L(p{args.m}*p'{args.k}*pn)")
+    return _table(header, ((str(r["n"]), r["coefficient"], r["l_value"]) for r in records))
 
 
 # -- verify ----------------------------------------------------------------
@@ -176,7 +171,16 @@ def _cmd_connect(args: argparse.Namespace) -> int:
 # the DP reads no enumeration result, the oracle reads neither, and one
 # oracle expansion serves every target k (or n) of its product.
 
-def _verify_monic_records(sys_: CoefficientSystem, top: int) -> Iterable[dict]:
+def _instance_records(method: str, m: int, n: int, k: int, want, routes) -> List[dict]:
+    """The oracle record of one instance, then one per (route, value)."""
+    base = {"method": method, "m": m, "n": n, "k": k, "oracle": format_scalar(want)}
+    return [dict(base, route="oracle", value=base["oracle"], match=True)] + [
+        dict(base, route=route, value=format_scalar(value), match=value == want)
+        for route, value in routes
+    ]
+
+
+def _verify_monic_records(sys_: CoefficientSystem, top: int) -> Iterator[dict]:
     b, lam = monic_b_lambda(sys_, 2 * top + 2)
     for m in range(top + 1):
         for n in range(top + 1):
@@ -189,23 +193,14 @@ def _verify_monic_records(sys_: CoefficientSystem, top: int) -> Iterable[dict]:
                 strict = res.prefactor * scalar_sum(
                     w for path, w in res.per_path.items() if path.is_standard()
                 )
-                base = {"method": "monic", "m": m, "n": n, "k": k,
-                        "oracle": format_scalar(want)}
-                yield dict(base, route="oracle", value=format_scalar(want),
-                           match=True)
-                yield dict(base, route="enumeration",
-                           value=format_scalar(res.total),
-                           match=res.total == want)
-                yield dict(base, route="dp", value=format_scalar(dp),
-                           match=dp == want)
-                yield dict(base, route="strict-paths",
-                           value=format_scalar(strict),
-                           match=strict == want)
+                yield from _instance_records("monic", m, n, k, want, (
+                    ("enumeration", res.total), ("dp", dp), ("strict-paths", strict),
+                ))
 
 
 def _verify_mixed_records(
     sys_: CoefficientSystem, prime: CoefficientSystem, top: int
-) -> Iterable[dict]:
+) -> Iterator[dict]:
     for m in range(top + 1):
         tables = {}
         for n in range(top + 1):
@@ -219,18 +214,9 @@ def _verify_mixed_records(
                 alt = mixed_prefactor(
                     m, k, sys_, prime, k_indexed_prefactor=True
                 ) * res.weight_sum
-                base = {"method": "mixed", "m": m, "n": n, "k": k,
-                        "oracle": format_scalar(want)}
-                yield dict(base, route="oracle", value=format_scalar(want),
-                           match=True)
-                yield dict(base, route="enumeration",
-                           value=format_scalar(res.total),
-                           match=res.total == want)
-                yield dict(base, route="dp", value=format_scalar(dp),
-                           match=dp == want)
-                yield dict(base, route="k-indexed-prefactor",
-                           value=format_scalar(alt),
-                           match=alt == want)
+                yield from _instance_records("mixed", m, n, k, want, (
+                    ("enumeration", res.total), ("dp", dp), ("k-indexed-prefactor", alt),
+                ))
 
 
 # Routes that bind the exit status.  The strict path census and the
@@ -238,71 +224,51 @@ def _verify_mixed_records(
 # because they disagree with the oracle on boundary instances.
 _BINDING_ROUTES = ("enumeration", "dp")
 
-_VERIFY_WIDTHS = (12, 6, 20, 24, 24, 8)
-_VERIFY_HEADER = ("instance", "method", "route", "value", "oracle", "match")
 
-
-def _verify_row(rec: dict) -> tuple:
-    return (
-        f"({rec['m']},{rec['n']},{rec['k']})",
-        rec["method"],
-        rec["route"],
-        rec["value"],
-        rec["oracle"],
-        "ok" if rec["match"] else "MISMATCH",
-    )
-
-
-def _require_nonnegative_max(args: argparse.Namespace) -> None:
-    # an empty range would pass vacuously
-    if args.max < 0:
-        raise ValueError(f"--max must be nonnegative, got {args.max}")
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Stream:
     _require_nonnegative_max(args)
     sys_ = _load(args)
 
-    def streams() -> Iterable[dict]:
+    def records() -> Iterator[dict]:
         if args.method in ("monic", "all"):
             yield from _verify_monic_records(sys_, args.max)
         if args.method in ("mixed", "all"):
-            prime = _load_prime(args, sys_)
-            yield from _verify_mixed_records(sys_, prime, args.max)
+            yield from _verify_mixed_records(sys_, _load_prime(args, sys_), args.max)
 
     # streamed instance by instance so long sweeps stay inspectable
-    mismatch = False
-    total = good = 0
-    table = args.format == "table"
-    if table:
-        fmt = "  ".join(f"{{:<{w}}}" for w in _VERIFY_WIDTHS)
-        print(fmt.format(*_VERIFY_HEADER).rstrip())
-    for rec in streams():
-        if rec["route"] in _BINDING_ROUTES:
-            total += 1
-            good += rec["match"]
-            mismatch = mismatch or not rec["match"]
-        if table:
-            print(fmt.format(*_verify_row(rec)).rstrip())
-        else:
-            print(json.dumps(rec, sort_keys=True))
-    if table:
-        print(f"binding checks: {good}/{total} matched")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    def stream() -> Stream:
+        mismatch = False
+        for rec in records():
+            mismatch = mismatch or (rec["route"] in _BINDING_ROUTES and not rec["match"])
+            yield rec
+        return EXIT_MISMATCH if mismatch else EXIT_OK
+
+    return stream()
+
+
+def _verify_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    matches = []
+
+    def rows():
+        for r in records:
+            if r["route"] in _BINDING_ROUTES:
+                matches.append(r["match"])
+            yield (f"({r['m']},{r['n']},{r['k']})", r["method"], r["route"],
+                   r["value"], r["oracle"], "ok" if r["match"] else "MISMATCH")
+
+    header = ("instance", "method", "route", "value", "oracle", "match")
+    yield from _table(header, rows(), widths=(12, 6, 20, 24, 24, 8))
+    yield f"binding checks: {sum(matches)}/{len(matches)} matched"
 
 
 # -- positivity --------------------------------------------------------------
 
-def _cmd_positivity(args: argparse.Namespace) -> int:
+def _cmd_positivity(args: argparse.Namespace) -> Stream:
     sys_ = _load(args)
     prime = load_system(args.system_prime) if args.system_prime else None
     if args.max is not None:
-        instances = [
-            (m, n, k)
-            for m in range(args.max + 1)
-            for n in range(args.max + 1)
-            for k in range(args.max + 1)
-        ]
+        _require_nonnegative_max(args)
+        instances = list(itertools.product(range(args.max + 1), repeat=3))
     else:
         if args.m is None or args.n is None or args.k is None:
             raise ValueError("positivity needs --m/--n/--k or --max")
@@ -332,192 +298,132 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
         # report (reports[1]) is printed for information
         guaranteed = lambda m, n, k: reports[0].holds and k <= max(m, n)
 
-    as_records = args.format == "records"
-    for rep in reports:
-        _emit_report(rep, as_records)
     # certificates stream instance by instance
-    unsound = False
-    for m, n, k in instances:
-        cert = certify(m, n, k)
-        if guaranteed(m, n, k) and not cert.all_nonnegative:
-            unsound = True
-        rec = _cert_record(cert, reports[0], monic=prime is None)
-        if as_records:
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            inst = rec["instance"]
-            print(
-                f"instance (m,n,k)=({inst[0]},{inst[1]},{inst[2]})"
-                f" oriented {tuple(rec['oriented'])}:"
-                f" {'all nonnegative' if rec['all_nonnegative'] else 'NEGATIVE WEIGHT'}"
-                f"  sum={rec['weight_sum']}"
-            )
-            for row in rec["paths"]:
-                print(f"  {row['path']}  {row['formula']} = {row['weight']}  {row['sign']}")
-    return EXIT_MISMATCH if unsound else EXIT_OK
-
-
-def _emit_report(rep, as_records: bool) -> None:
-    if as_records:
-        print(
-            json.dumps(
-                {
-                    "kind": "hypothesis",
-                    "rule": rep.rule,
-                    "window": rep.window,
-                    "strict": rep.strict,
-                    "holds": rep.holds,
-                    "violations": [
-                        {
-                            "name": v.name,
-                            "i": v.i,
-                            "j": v.j,
-                            "value_i": format_scalar(v.value_i),
-                            "value_j": format_scalar(v.value_j),
-                        }
-                        for v in rep.violations
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-        return
-    state = "holds" if rep.holds else "FAILS"
-    print(f"rule {rep.rule} over window 0..{rep.window}"
-          f"{' (strict)' if rep.strict else ''}: {state}")
-    for v in rep.violations:
-        print(
-            f"  violated {v.name} at i={v.i}, j={v.j}: "
-            f"{format_scalar(v.value_i)} vs {format_scalar(v.value_j)}"
-        )
-
-
-def _cert_record(cert, report, monic: bool) -> dict:
-    rows = []
-    for path, w, s in cert.rows:
-        formula = monic_formula(path) if monic else str(path)
-        rows.append(
-            {
-                "path": str(path),
-                "formula": formula,
-                "weight": format_scalar(w),
-                "sign": "+" if s > 0 else ("0" if s == 0 else "-"),
+    def stream() -> Stream:
+        for rep in reports:
+            yield {
+                "kind": "hypothesis", "rule": rep.rule, "window": rep.window,
+                "strict": rep.strict, "holds": rep.holds,
+                "violations": [
+                    {"name": v.name, "i": v.i, "j": v.j,
+                     "value_i": format_scalar(v.value_i),
+                     "value_j": format_scalar(v.value_j)}
+                    for v in rep.violations
+                ],
             }
-        )
-    return {
-        "kind": "certificate",
-        "instance": list(cert.instance),
-        "oriented": list(cert.oriented),
-        "all_nonnegative": cert.all_nonnegative,
-        "hypothesis_holds": report.holds,
-        "required_window": required_window(*cert.instance),
-        "weight_sum": format_scalar(cert.weight_sum),
-        "paths": rows,
-    }
+        unsound = False
+        for m, n, k in instances:
+            cert = certify(m, n, k)
+            if guaranteed(m, n, k) and not cert.all_nonnegative:
+                unsound = True
+            yield {
+                "kind": "certificate",
+                "instance": list(cert.instance),
+                "oriented": list(cert.oriented),
+                "all_nonnegative": cert.all_nonnegative,
+                "hypothesis_holds": reports[0].holds,
+                "required_window": required_window(*cert.instance),
+                "weight_sum": format_scalar(cert.weight_sum),
+                "paths": [
+                    {"path": str(path),
+                     "formula": monic_formula(path) if prime is None else str(path),
+                     "weight": format_scalar(w),
+                     "sign": "+" if s > 0 else ("0" if s == 0 else "-")}
+                    for path, w, s in cert.rows
+                ],
+            }
+        return EXIT_MISMATCH if unsound else EXIT_OK
+
+    return stream()
+
+
+def _positivity_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    for r in records:
+        if r["kind"] == "hypothesis":
+            yield (f"rule {r['rule']} over window 0..{r['window']}"
+                   f"{' (strict)' if r['strict'] else ''}: "
+                   f"{'holds' if r['holds'] else 'FAILS'}")
+            for v in r["violations"]:
+                yield (f"  violated {v['name']} at i={v['i']}, j={v['j']}: "
+                       f"{v['value_i']} vs {v['value_j']}")
+            continue
+        m, n, k = r["instance"]
+        yield (f"instance (m,n,k)=({m},{n},{k}) oriented {tuple(r['oriented'])}:"
+               f" {'all nonnegative' if r['all_nonnegative'] else 'NEGATIVE WEIGHT'}"
+               f"  sum={r['weight_sum']}")
+        for row in r["paths"]:
+            yield f"  {row['path']}  {row['formula']} = {row['weight']}  {row['sign']}"
 
 
 # -- paths -------------------------------------------------------------------
 
-def _cmd_paths(args: argparse.Namespace) -> int:
+def _cmd_paths(args: argparse.Namespace) -> List[dict]:
     generalized = bool(args.system_prime) or args.generalized
     found = enumerate_paths(args.m, args.n, args.k, allow_hh=generalized)
-    weights: List[Optional[str]] = [None] * len(found)
+    weights: List[dict] = [{}] * len(found)
     if args.system and args.system_prime:
         sys_ = load_system(args.system)
         prime = load_system(args.system_prime)
         fn = path_weight_merged if args.method == "merged" else path_weight_mixed
-        weights = [format_scalar(fn(p, sys_, prime)) for p in found]
+        weights = [{"weight": format_scalar(fn(p, sys_, prime))} for p in found]
     elif args.system:
         sys_ = load_system(args.system)
         b, lam = monic_b_lambda(sys_, args.m + args.n + args.k + 2)
-        weights = [format_scalar(path_weight_monic(p, b, lam)) for p in found]
-    if args.format == "records":
-        _emit_records(
-            {
-                "command": "paths",
-                "m": args.m,
-                "n": args.n,
-                "k": args.k,
-                "path": str(p),
-                **({"weight": w} if w is not None else {}),
-            }
-            for p, w in zip(found, weights)
-        )
+        weights = [{"weight": format_scalar(path_weight_monic(p, b, lam))} for p in found]
+    return [
+        {"command": "paths", "m": args.m, "n": args.n, "k": args.k, "path": str(p), **w}
+        for p, w in zip(found, weights)
+    ]
+
+
+def _paths_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    records = list(records)
+    if any("weight" in r for r in records):
+        yield from _table(("path", "weight"), ((r["path"], r["weight"]) for r in records))
     else:
-        if any(w is not None for w in weights):
-            _emit_table(
-                [(str(p), w or "") for p, w in zip(found, weights)],
-                ("path", "weight"),
-            )
-        else:
-            for p in found:
-                print(str(p))
-        print(f"{len(found)} path(s)")
-    return EXIT_OK
+        yield from (r["path"] for r in records)
+    yield f"{len(records)} path(s)"
 
 
 # -- moments -----------------------------------------------------------------
 
-def _cmd_moments(args: argparse.Namespace) -> int:
+def _cmd_moments(args: argparse.Namespace) -> List[dict]:
     _require_nonnegative_max(args)
     sys_ = _load(args)
-    rows = [
-        (str(n), format_scalar(oracle.moments(n, sys_)))
+    return [
+        {"command": "moments", "n": n, "mu": format_scalar(oracle.moments(n, sys_))}
         for n in range(args.max + 1)
     ]
-    if args.format == "records":
-        _emit_records(
-            {"command": "moments", "n": int(n), "mu": mu} for n, mu in rows
-        )
-    else:
-        _emit_table(rows, ("n", "mu_n"))
-    return EXIT_OK
+
+
+def _moments_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    return _table(("n", "mu_n"), ((str(r["n"]), r["mu"]) for r in records))
 
 
 # -- symbolic ----------------------------------------------------------------
 
-def _cmd_symbolic(args: argparse.Namespace) -> int:
+def _cmd_symbolic(args: argparse.Namespace) -> List[dict]:
     b = SymbolicSeq("b")
     lam = SymbolicSeq("l")
     res = path_sum_monic(args.m, args.n, args.k, b, lam)
     coeff = oracle.expand_product(
         args.m, args.n, monic_system(b, lam)
     ).coefficient(args.k)
-    if args.format == "records":
-        recs = [
-            {
-                "command": "symbolic",
-                "m": args.m,
-                "n": args.n,
-                "k": args.k,
-                "path": str(p),
-                "weight": format_scalar(w),
-            }
-            for p, w in res.per_path.items()
-        ]
-        recs.append(
-            {
-                "command": "symbolic",
-                "m": args.m,
-                "n": args.n,
-                "k": args.k,
-                "weight_sum": format_scalar(res.weight_sum),
-                "prefactor": format_scalar(res.prefactor),
-                "total": format_scalar(res.total),
-                "coefficient": format_scalar(coeff),
-            }
-        )
-        _emit_records(recs)
-    else:
-        _emit_table(
-            [(str(p), format_scalar(w)) for p, w in res.per_path.items()],
-            ("path", "weight"),
-        )
-        print(f"sum over paths = {format_scalar(res.weight_sum)}")
-        print(f"prefactor = {format_scalar(res.prefactor)}")
-        print(f"L(p{args.m}*p{args.n}*p{args.k}) = {format_scalar(res.total)}")
-        print(f"coefficient a[{args.m},{args.n}]^{args.k} = {format_scalar(coeff)}")
-    return EXIT_OK
+    base = {"command": "symbolic", "m": args.m, "n": args.n, "k": args.k}
+    return [dict(base, path=str(p), weight=format_scalar(w)) for p, w in res.per_path.items()] + [
+        dict(base, weight_sum=format_scalar(res.weight_sum),
+             prefactor=format_scalar(res.prefactor), total=format_scalar(res.total),
+             coefficient=format_scalar(coeff))
+    ]
+
+
+def _symbolic_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
+    *paths, summary = records
+    yield from _table(("path", "weight"), ((r["path"], r["weight"]) for r in paths))
+    yield f"sum over paths = {summary['weight_sum']}"
+    yield f"prefactor = {summary['prefactor']}"
+    yield f"L(p{args.m}*p{args.n}*p{args.k}) = {summary['total']}"
+    yield f"coefficient a[{args.m},{args.n}]^{args.k} = {summary['coefficient']}"
 
 
 # -- parser ------------------------------------------------------------------
@@ -529,83 +435,81 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, system: bool = True) -> None:
+    def command(name, help, func, view, system=True, prime=False):
+        p = sub.add_parser(name, help=help)
         if system:
             p.add_argument("--system", help="coefficient system JSON file")
+        if prime:
             p.add_argument("--system-prime", help="second-family JSON file")
         p.add_argument(
             "--format", choices=("table", "records"), default="table"
         )
+        p.set_defaults(func=func, view=view)
+        return p
 
-    p = sub.add_parser("lincoef", help="expansion table of p_m * p_n")
-    common(p)
+    p = command("lincoef", "expansion table of p_m * p_n", _cmd_lincoef, _lincoef_view)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("oracle", "monic", "mixed"), default="oracle")
-    p.set_defaults(func=_cmd_lincoef)
 
-    p = sub.add_parser("connect", help="expansion table of p_m * p'_k")
-    common(p)
+    p = command("connect", "expansion table of p_m * p'_k", _cmd_connect, _connect_view,
+                prime=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_connect)
 
-    p = sub.add_parser("verify", help="cross-check path formulas vs the oracle")
-    common(p)
+    p = command("verify", "cross-check path formulas vs the oracle", _cmd_verify,
+                _verify_view, prime=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--method", choices=("monic", "mixed", "all"), default="all")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("positivity", help="hypothesis reports and certificates")
-    common(p)
+    p = command("positivity", "hypothesis reports and certificates", _cmd_positivity,
+                _positivity_view, prime=True)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--max", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_positivity)
 
-    p = sub.add_parser("paths", help="enumerate (optionally weighted) paths")
-    common(p)
+    p = command("paths", "enumerate (optionally weighted) paths", _cmd_paths, _paths_view,
+                prime=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--generalized", action="store_true",
                    help="include the two-unit across step")
     p.add_argument("--method", choices=("mixed", "merged"), default="mixed")
-    p.set_defaults(func=_cmd_paths)
 
-    p = sub.add_parser("moments", help="moment sequence of a system")
-    common(p)
+    p = command("moments", "moment sequence of a system", _cmd_moments, _moments_view)
     p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("symbolic", help="symbolic monic product expansion")
-    common(p, system=False)
+    p = command("symbolic", "symbolic monic product expansion", _cmd_symbolic,
+                _symbolic_view, system=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_symbolic)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        SequenceRangeError,
-        DomainMismatchError,
-        UnsupportedDomainError,
-        ZeroDivisionError,
-        json.JSONDecodeError,
-    ) as exc:
+        produced = args.func(args)
+        status = []
+
+        def records() -> Iterator[dict]:
+            # a list yields no status; a stream returns its exit status
+            status.append((yield from produced))
+
+        if args.format == "records":
+            lines = (json.dumps(rec, sort_keys=True) for rec in records())
+        else:
+            lines = args.view(args, records())
+        for line in lines:
+            print(line)
+        return status[0] or EXIT_OK
+    except (ValueError, OSError, SequenceRangeError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -306,7 +306,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational has a zero denominator: {text!r}") from None
 
 
 def parse_polynomial(text: str) -> Poly:

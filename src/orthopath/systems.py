@@ -245,6 +245,20 @@ class ShiftedSeq(_Materialized):
 SequenceSpec = Union[ExplicitSeq, AffineSeq, ConstantSeq, SymbolicSeq, ShiftedSeq]
 
 
+def _defining_scalars(s: SequenceSpec) -> Tuple[Scalar, ...]:
+    """The scalars a sequence is built from.  Every entry is integral
+    exactly when they all are (an affine c0 + c1*i needs both integral)."""
+    if isinstance(s, ShiftedSeq):
+        return _defining_scalars(s.base)
+    if isinstance(s, ExplicitSeq):
+        return s.values
+    if isinstance(s, AffineSeq):
+        return (s.c0, s.c1)
+    if isinstance(s, ConstantSeq):
+        return (s.value,)
+    return ()
+
+
 class Coefficients(NamedTuple):
     """A system's materialized sequences over indices 0..top (or more),
     with the alpha[0] = 0 convention built in."""
@@ -269,15 +283,14 @@ class CoefficientSystem:
     label: str = "system"
 
     def __post_init__(self) -> None:
-        symbolic = [s.is_symbolic for s in (self.alpha, self.beta, self.gamma)]
-        if any(symbolic):
-            for s in (self.alpha, self.beta, self.gamma):
-                if isinstance(s, ExplicitSeq) and any(
-                    isinstance(v, Fraction) and v.denominator != 1 for v in s.values
-                ):
-                    raise DomainMismatchError(
-                        "symbolic systems cannot mix in non-integer rationals"
-                    )
+        if self.is_symbolic and any(
+            isinstance(v, Fraction) and v.denominator != 1
+            for s in (self.alpha, self.beta, self.gamma)
+            for v in _defining_scalars(s)
+        ):
+            raise DomainMismatchError(
+                "symbolic systems cannot mix in non-integer rationals"
+            )
 
     @property
     def is_symbolic(self) -> bool:
@@ -415,19 +428,26 @@ def _require_object(obj: object, what: str) -> dict:
     return obj
 
 
+def _field(obj: dict, name: str, what: str) -> object:
+    if name not in obj:
+        raise ValueError(f"{what} is missing field {name!r}")
+    return obj[name]
+
+
 def sequence_from_json(obj: dict) -> SequenceSpec:
     family = _require_object(obj, "a sequence").get("family")
+    field = lambda name: _field(obj, name, f"{family} sequence")
     if family == "explicit":
-        values = obj["values"]
+        values = field("values")
         if not isinstance(values, list):
             raise ValueError("explicit sequence values must be a JSON list")
         return ExplicitSeq(tuple(_parse_value(v) for v in values))
     if family == "affine":
-        return AffineSeq(parse_rational(str(obj["c0"])), parse_rational(str(obj["c1"])))
+        return AffineSeq(parse_rational(str(field("c0"))), parse_rational(str(field("c1"))))
     if family == "constant":
-        return ConstantSeq(_parse_value(obj["value"]))
+        return ConstantSeq(_parse_value(field("value")))
     if family == "symbolic":
-        tag = obj["tag"]
+        tag = field("tag")
         if tag not in FAMILIES:
             raise ValueError(f"unknown symbolic family tag {tag!r}")
         shift = obj.get("shift", 0)
@@ -440,9 +460,9 @@ def sequence_from_json(obj: dict) -> SequenceSpec:
 def system_from_json(obj: dict, label: str = "system") -> CoefficientSystem:
     _require_object(obj, "a system")
     return CoefficientSystem(
-        alpha=sequence_from_json(obj["alpha"]),
-        beta=sequence_from_json(obj["beta"]),
-        gamma=sequence_from_json(obj["gamma"]),
+        alpha=sequence_from_json(_field(obj, "alpha", "system")),
+        beta=sequence_from_json(_field(obj, "beta", "system")),
+        gamma=sequence_from_json(_field(obj, "gamma", "system")),
         label=obj.get("label", label),
     )
 

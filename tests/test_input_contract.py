@@ -239,3 +239,110 @@ def test_lincoef_monic_on_a_short_system_prints_the_oracle_values(capsys, tmp_pa
                              "--system", short)
     assert code == 0
     assert monic_out == oracle_out
+
+
+CONSTANT_ONE = {"family": "constant", "value": "1"}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            {"alpha": CONSTANT_ONE, "beta": {"family": "affine", "c0": "1"},
+             "gamma": CONSTANT_ONE},
+            "affine sequence is missing field 'c1'",
+        ),
+        (
+            {"alpha": CONSTANT_ONE, "beta": CONSTANT_ONE},
+            "system is missing field 'gamma'",
+        ),
+        (
+            {"alpha": CONSTANT_ONE, "beta": {"family": "constant", "value": "1/0"},
+             "gamma": CONSTANT_ONE},
+            "rational has a zero denominator: '1/0'",
+        ),
+    ],
+    ids=["missing-c1", "missing-gamma", "zero-denominator"],
+)
+def test_defective_fields_name_the_defect(capsys, tmp_path, obj, message):
+    path = write_system(tmp_path, obj)
+    err = expect_input_error(capsys, "moments", "--max", 2, "--system", path)
+    assert err == f"error: {message}\n"
+
+
+def test_parse_rational_rejects_a_zero_denominator():
+    for text in ("1/0", "-3/00", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError])
+def test_library_errors_are_not_read_as_bad_input(capsys, monkeypatch, exc):
+    import orthopath.oracle as oracle_mod
+
+    def broken(*args):
+        raise exc("library bug")
+
+    monkeypatch.setattr(oracle_mod, "moments", broken)
+    with pytest.raises(exc):
+        main(["moments", "--max", "2", "--system", MONOTONE_MONIC])
+
+
+SYMBOLIC_WITH_HALVES = {
+    "affine-beta": {
+        "alpha": CONSTANT_ONE,
+        "beta": {"family": "affine", "c0": "1/2", "c1": "0"},
+        "gamma": {"family": "symbolic", "tag": "l", "shift": 1},
+    },
+    "constant-alpha": {
+        "alpha": {"family": "constant", "value": "1/2"},
+        "beta": {"family": "symbolic", "tag": "b"},
+        "gamma": {"family": "symbolic", "tag": "l", "shift": 1},
+    },
+    "affine-slope": {
+        "alpha": CONSTANT_ONE,
+        "beta": {"family": "symbolic", "tag": "b"},
+        "gamma": {"family": "affine", "c0": "1", "c1": "1/2"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_WITH_HALVES))
+@pytest.mark.parametrize(
+    "command",
+    COMMANDS + [("moments", "--max", 1), ("paths", "--m", 1, "--n", 1, "--k", 1)],
+    ids=lambda c: " ".join(map(str, c)),
+)
+def test_symbolic_systems_reject_every_non_integer_sequence(capsys, tmp_path, name, command):
+    path = write_system(tmp_path, SYMBOLIC_WITH_HALVES[name])
+    argv = [path if a == "SELF" else a for a in command]
+    err = expect_input_error(capsys, *argv, "--system", path)
+    assert err == "error: symbolic systems cannot mix in non-integer rationals\n"
+
+
+def test_symbolic_systems_accept_integral_affine_and_constant_sequences():
+    sys_ = system_from_json({
+        "alpha": {"family": "constant", "value": "2/2"},
+        "beta": {"family": "affine", "c0": "-1", "c1": "4/2"},
+        "gamma": {"family": "symbolic", "tag": "l", "shift": 1},
+    })
+    assert sys_.is_symbolic
+    assert sys_.materialize(3).beta == (-1, 1, 3, 5)
+
+
+def test_negative_positivity_max_is_an_input_error(capsys):
+    err = expect_input_error(capsys, "positivity", "--max", -1, "--system", MONOTONE_MONIC)
+    assert err == "error: --max must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("lincoef", "--m", "1", "--n", "1"), ("moments", "--max", "2")],
+    ids=lambda c: c[0],
+)
+def test_system_prime_is_not_an_option_where_nothing_reads_it(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--system", MONOTONE_MONIC, "--system-prime", "/nonexistent"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orthopath")
+    assert "unrecognized arguments: --system-prime /nonexistent" in err

@@ -6,8 +6,10 @@ them from scratch.  Work counters pin that each instance enumerates once,
 that one oracle expansion serves every target of a product, that each
 coefficient is evaluated once per sequence, and that the moment chain is
 walked once.  The sha256 pins hold ``verify`` and ``positivity`` output,
-and the oracle-only ``lincoef``, ``connect`` and ``moments`` output, to
-fixed bytes, so later performance work cannot change it.
+the oracle-only ``lincoef``, ``connect`` and ``moments`` output, and each
+command's table and records renderings to fixed bytes, so later
+performance or renderer work cannot change them; a streamed ``verify``
+keeps what it printed before an error.
 """
 
 import hashlib
@@ -217,3 +219,132 @@ def test_poly_ring_results_are_not_revalidated(monkeypatch):
     assert checks == []
     assert product == squares
     assert cancelled.is_zero()
+
+
+PATHS_1_1_3 = ("paths", "--m", "1", "--n", "1", "--k", "3")
+TWO_FAMILY = ("--system", MONOTONE, "--system-prime", MONOTONE_PRIME)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--max", "3", "--method", "all", "--system", MONOTONE_MONIC,
+             "--system-prime", MONOTONE_PRIME),
+            "ef9572fa31d26b65feab2f7ae0f116b8d8f51faffe05397ad4e84bb90d488812",
+        ),
+        (
+            ("positivity", "--max", "2", "--system", MONOTONE_MONIC),
+            "888ba0ac3a6ec79ea9b9bfbcb6ad85a5e4c5149b4df50ada6a3bfd6e6d62309d",
+        ),
+        (
+            ("positivity", "--max", "2", *TWO_FAMILY),
+            "6a3b560a2b38a2cbd56551ce5cb09fbccb347c8e531f372d94c090bb55c0538a",
+        ),
+        (
+            PATHS_1_1_3,
+            "4b06c81dceec22f6df2917f79f12e01152cceb73333c9b960ee7e74f814a28ab",
+        ),
+        (
+            (*PATHS_1_1_3, "--generalized"),
+            "1e24edf497267c0abf5ce86289e960b77c6c259d9e6c50c728dab906ab84becd",
+        ),
+        (
+            (*PATHS_1_1_3, "--system", MONOTONE_MONIC),
+            "157ae8a10420d8aea7047358ff568bd8d16d074f24497b1fda740bde30cf82e8",
+        ),
+        (
+            (*PATHS_1_1_3, *TWO_FAMILY, "--method", "mixed"),
+            "fd6fde790a56e6bfa89b701319163577751ef8304c975a522889ec9f64ea0ad2",
+        ),
+        (
+            (*PATHS_1_1_3, *TWO_FAMILY, "--method", "merged"),
+            "e06b3b6ca57f715b071b43571f69199da3b524c8dea2688a396f19fbabb86c44",
+        ),
+        (
+            ("symbolic", "--m", "3", "--n", "3", "--k", "5"),
+            "3ba9e28ffe469eaca2bac808116b54407b4242fc17a1e2b7db66a14a197b0f30",
+        ),
+        (
+            ("lincoef", "--m", "3", "--n", "3", "--method", "monic", "--system", MONOTONE_MONIC),
+            "16c06eea3d8f11ec279ae1c7a6eceeaf124826bbf9add6ea1f685754fccfc197",
+        ),
+        (
+            ("lincoef", "--m", "3", "--n", "3", "--method", "mixed", "--system", MONOTONE_MONIC),
+            "16c06eea3d8f11ec279ae1c7a6eceeaf124826bbf9add6ea1f685754fccfc197",
+        ),
+    ],
+    ids=[
+        "verify", "positivity-monic", "positivity-two-family", "paths",
+        "paths-generalized", "paths-monic", "paths-mixed", "paths-merged",
+        "symbolic", "lincoef-monic", "lincoef-mixed",
+    ],
+)
+def test_table_output_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("lincoef", "--m", "3", "--n", "3", "--system", MONOTONE_MONIC),
+            "976469ed9a9bdd8989a97dc905912e1d716683f8477e5d31a6883214912cde5c",
+        ),
+        (
+            ("connect", "--m", "2", "--k", "3", *TWO_FAMILY),
+            "a74fba8bbef0f0b77bd5b54696dd97150d32a779a21b4135905aafac90c9efda",
+        ),
+        (
+            ("moments", "--max", "6", "--system", MONOTONE),
+            "666833c807e2b6cfb42067327408ab11055fa65fbc23eda3c92491c5ac9791e8",
+        ),
+        (
+            (*PATHS_1_1_3, "--system", MONOTONE_MONIC),
+            "4a6983c0c1c2e5acc7865a36ed87d23cc6e0d613e5c6e0a2e00c0629a11eb5f9",
+        ),
+        (
+            (*PATHS_1_1_3, *TWO_FAMILY),
+            "b952434859d619235cf6ed1c34d67d72110b3f2ab0f07a4de041ab93a8ba8543",
+        ),
+        (
+            ("symbolic", "--m", "3", "--n", "3", "--k", "5"),
+            "8b167773cc76160c25a2119dabea3a2f66a1cfdb1ee63bcfde4f2a28db74a505",
+        ),
+    ],
+    ids=["lincoef", "connect", "moments", "paths-monic", "paths-mixed", "symbolic"],
+)
+def test_records_output_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv, "--format", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_verify_keeps_streamed_output_before_an_error(capsys, monkeypatch, fmt):
+    import orthopath.cli as cli
+
+    rec = {"method": "monic", "m": 0, "n": 0, "k": 0, "oracle": "1",
+           "route": "oracle", "value": "1", "match": True}
+
+    def failing_records(sys_, top):
+        yield dict(rec)
+        raise ValueError("failed after one record")
+
+    monkeypatch.setattr(cli, "_verify_monic_records", failing_records)
+    code = main(["verify", "--max", "0", "--method", "monic",
+                 "--system", MONOTONE_MONIC, "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == "error: failed after one record\n"
+    if fmt == "records":
+        assert out.out == json.dumps(rec, sort_keys=True) + "\n"
+    else:
+        assert out.out == (
+            "instance      method  route                 value                     oracle"
+            "                    match\n"
+            "(0,0,0)       monic   oracle                1                         1"
+            "                         ok\n"
+        )
