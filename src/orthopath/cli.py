@@ -96,10 +96,8 @@ def _load(args: argparse.Namespace) -> CoefficientSystem:
     return load_system(args.system)
 
 
-def _load_prime(args: argparse.Namespace, fallback: CoefficientSystem) -> CoefficientSystem:
-    if args.system_prime:
-        return load_system(args.system_prime)
-    return fallback
+def _load_prime(args: argparse.Namespace) -> Optional[CoefficientSystem]:
+    return load_system(args.system_prime) if args.system_prime else None
 
 
 def _require_nonnegative_max(args: argparse.Namespace) -> None:
@@ -130,9 +128,11 @@ def _cmd_lincoef(args: argparse.Namespace) -> List[dict]:
         total_at = _path_totals(args, sys_)
         rows = []
         for k in sorted(table.entries):
-            total = total_at(k)
-            rows.append((k, format_scalar(scalar_div(total, sys_.norm_squared(k))),
-                         format_scalar(total)))
+            total, norm = total_at(k), sys_.norm_squared(k)
+            if norm == 0:
+                raise ValueError(f"L(p{k}*p{k}) is zero, so --method {args.method} "
+                                 f"cannot recover a[{args.m},{args.n}]^{k}")
+            rows.append((k, format_scalar(scalar_div(total, norm)), format_scalar(total)))
     return [
         {"command": "lincoef", "m": args.m, "n": args.n, "k": k,
          "coefficient": c, "l_value": l}
@@ -149,7 +149,7 @@ def _lincoef_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator
 
 def _cmd_connect(args: argparse.Namespace) -> List[dict]:
     sys_ = _load(args)
-    prime = _load_prime(args, sys_)
+    prime = _load_prime(args) or sys_
     return [
         {"command": "connect", "m": args.m, "k_prime": args.k, "n": n,
          "coefficient": c, "l_value": l}
@@ -228,12 +228,13 @@ _BINDING_ROUTES = ("enumeration", "dp")
 def _cmd_verify(args: argparse.Namespace) -> Stream:
     _require_nonnegative_max(args)
     sys_ = _load(args)
+    prime = _load_prime(args) or sys_
 
     def records() -> Iterator[dict]:
         if args.method in ("monic", "all"):
             yield from _verify_monic_records(sys_, args.max)
         if args.method in ("mixed", "all"):
-            yield from _verify_mixed_records(sys_, _load_prime(args, sys_), args.max)
+            yield from _verify_mixed_records(sys_, prime, args.max)
 
     # streamed instance by instance so long sweeps stay inspectable
     def stream() -> Stream:
@@ -265,7 +266,7 @@ def _verify_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[
 
 def _cmd_positivity(args: argparse.Namespace) -> Stream:
     sys_ = _load(args)
-    prime = load_system(args.system_prime) if args.system_prime else None
+    prime = _load_prime(args)
     if args.max is not None:
         _require_nonnegative_max(args)
         instances = list(itertools.product(range(args.max + 1), repeat=3))
@@ -274,10 +275,8 @@ def _cmd_positivity(args: argparse.Namespace) -> Stream:
             raise ValueError("positivity needs --m/--n/--k or --max")
         instances = [(args.m, args.n, args.k)]
     needed = max(required_window(*inst) for inst in instances)
-    window = args.window
-    if window is None:
-        window = needed
-    elif window < needed:
+    window = needed if args.window is None else args.window
+    if window < needed:
         raise ValueError(
             f"window {window} is too small for the requested instances; "
             f"indices up to {needed} are needed"
@@ -287,16 +286,14 @@ def _cmd_positivity(args: argparse.Namespace) -> Stream:
         b, lam = monic_b_lambda(sys_, window + 1)
         reports = [check_monic_monotone(b, lam, window, strict=args.strict)]
         certify = lambda m, n, k: certify_monic(m, n, k, b, lam)
-        guaranteed = lambda m, n, k: reports[0].holds
     else:
+        # only dominance binds the exit status; the parity-dominance
+        # report (reports[1]) is printed for information
         reports = [
             check_dominance(sys_, prime, window, strict=args.strict),
             check_parity_dominance(sys_, prime, window, strict=args.strict),
         ]
         certify = lambda m, n, k: certify_mixed(m, n, k, sys_, prime)
-        # only dominance binds the exit status; the parity-dominance
-        # report (reports[1]) is printed for information
-        guaranteed = lambda m, n, k: reports[0].holds and k <= max(m, n)
 
     # certificates stream instance by instance
     def stream() -> Stream:
@@ -314,7 +311,9 @@ def _cmd_positivity(args: argparse.Namespace) -> Stream:
         unsound = False
         for m, n, k in instances:
             cert = certify(m, n, k)
-            if guaranteed(m, n, k) and not cert.all_nonnegative:
+            # the binding rule signs every row once the length is at most the end level
+            _, end, length = cert.oriented
+            if reports[0].holds and length <= end and not cert.all_nonnegative:
                 unsound = True
             yield {
                 "kind": "certificate",
@@ -358,17 +357,18 @@ def _positivity_view(args: argparse.Namespace, records: Iterable[dict]) -> Itera
 # -- paths -------------------------------------------------------------------
 
 def _cmd_paths(args: argparse.Namespace) -> List[dict]:
+    if args.system_prime and not args.system:
+        raise ValueError("--system-prime weighs paths with --system; for unweighted "
+                         "paths with the two-unit across step use --generalized")
     generalized = bool(args.system_prime) or args.generalized
     found = enumerate_paths(args.m, args.n, args.k, allow_hh=generalized)
     weights: List[dict] = [{}] * len(found)
-    if args.system and args.system_prime:
-        sys_ = load_system(args.system)
-        prime = load_system(args.system_prime)
+    if args.system_prime:
+        sys_, prime = _load(args), _load_prime(args)
         fn = path_weight_merged if args.method == "merged" else path_weight_mixed
         weights = [{"weight": format_scalar(fn(p, sys_, prime))} for p in found]
     elif args.system:
-        sys_ = load_system(args.system)
-        b, lam = monic_b_lambda(sys_, args.m + args.n + args.k + 2)
+        b, lam = monic_b_lambda(_load(args), args.m + args.n + args.k + 2)
         weights = [{"weight": format_scalar(path_weight_monic(p, b, lam))} for p in found]
     return [
         {"command": "paths", "m": args.m, "n": args.n, "k": args.k, "path": str(p), **w}

@@ -232,16 +232,10 @@ class LinearizationTable:
     [|m - n|, m + n] for a same-family product.
     """
 
-    m: int
-    other: int
-    other_primed: bool
     entries: Dict[int, Tuple[Scalar, Scalar]]
 
     def coefficient(self, target: int) -> Scalar:
         return self.entries.get(target, (0, 0))[0]
-
-    def l_value(self, target: int) -> Scalar:
-        return self.entries.get(target, (0, 0))[1]
 
     def rows(self) -> List[Tuple[int, str, str]]:
         return [
@@ -250,9 +244,7 @@ class LinearizationTable:
         ]
 
 
-def _table(
-    m: int, other: int, primed: bool, vec: BasisVector, sys: CoefficientSystem
-) -> LinearizationTable:
+def _table(vec: BasisVector, sys: CoefficientSystem) -> LinearizationTable:
     # fill interior zeros so the table reads contiguously over the support
     if vec:
         lo, hi = min(vec), max(vec)
@@ -262,7 +254,7 @@ def _table(
     entries = {
         t: (vec.get(t, 0), vec.get(t, 0) * sys.norm_squared(t)) for t in targets
     }
-    return LinearizationTable(m, other, primed, entries)
+    return LinearizationTable(entries)
 
 
 def expand_product(m: int, n: int, sys: CoefficientSystem) -> LinearizationTable:
@@ -270,7 +262,7 @@ def expand_product(m: int, n: int, sys: CoefficientSystem) -> LinearizationTable
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     vec = _values(_product_vectors(m, n, sys, sys)[n])
-    return _table(m, n, False, vec, sys)
+    return _table(vec, sys)
 
 
 def connection_expand(
@@ -289,7 +281,7 @@ def mixed_expand(
     if m < 0 or k_prime < 0:
         raise ValueError("indices must be nonnegative")
     vec = _values(_product_vectors(m, k_prime, sys, sys_prime)[k_prime])
-    return _table(m, k_prime, True, vec, sys)
+    return _table(vec, sys)
 
 
 def moments(n: int, sys: CoefficientSystem) -> Scalar:

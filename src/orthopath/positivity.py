@@ -1,37 +1,37 @@
 """Monotonicity hypotheses and per-path nonnegativity certificates.
 
 Three sufficient rules for nonnegative expansion coefficients are
-checked over a finite index window (the unbounded statements are
-necessarily truncated; ``required_window`` gives the window an instance
-needs, indices up to m + n + k):
+checked over a finite index window (``required_window`` gives the window
+an instance needs, indices up to m + n + k):
 
-* monic-monotone: b increasing and lam increasing with lam > 0, which
-  makes every monic path weight nonnegative once the path is oriented so
-  its x-length is at most its end level;
+* monic-monotone: b increasing and lam increasing with lam > 0;
 * dominance: positive alpha, alpha', gamma, gamma' with
   beta[j] >= beta'[i], alpha[j] >= alpha'[i],
   alpha[j] + gamma[j] >= alpha'[i] + gamma'[i], gamma[j] >= alpha'[i]
   for all window pairs j >= i;
 * parity dominance: both beta sequences identically 0 and the dominance
   inequalities split by index parity, for products with even first index.
-  Its report is informational: ``orthopath positivity`` binds its exit
-  status to the dominance rule only, so a failed parity check, or a
-  negative certificate that only the parity rule would guarantee, never
-  exits 1.
 
-"Increasing" is read weakly (>=); pass ``strict=True`` to demand strict
-inequalities.  Hypothesis scans read the raw sequences (including any
-index-0 alpha entries); the alpha[0] = 0 convention applies only to
-weight evaluation.
+Each rule lists its named checks once: single-index checks, then pairs
+(i, j) that need small <= big ("increasing" is read weakly; pass
+``strict=True`` for small < big).  One scanner turns the list into the
+rule's report.  The scans read the raw sequences, index-0 alpha included;
+the alpha[0] = 0 convention applies only to weight evaluation.
 
-Certificates are built from explicit enumeration, never the transfer
-matrix, so each path's weight is individually exhibited.
+Certificates weigh every path of an explicit enumeration, never the
+transfer matrix.  On a path oriented so its x-length is at most its end
+level, each edge factor is signed by one of the rule's inequalities, so
+a negative row under a holding rule is unsound.  ``certify_monic`` can
+always orient so, ``certify_mixed`` exactly when k' <= max(m, n).
+``orthopath positivity`` binds its exit status to its first report
+(monic-monotone or dominance); the parity-dominance report is
+informational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Iterable, Tuple
 
 from .paths import MotzkinPath, enumerate_paths
 from .scalars import Scalar, scalar_sign, scalar_sum
@@ -64,8 +64,17 @@ def required_window(m: int, n: int, k: int) -> int:
     return m + n + k
 
 
-def _cmp_ok(lo: Scalar, hi: Scalar, strict: bool) -> bool:
-    return scalar_sign(hi - lo) > 0 if strict else scalar_sign(hi - lo) >= 0
+def _scan(
+    rule: str, window: int, strict: bool, singles: Iterable, pairs: Iterable
+) -> HypothesisReport:
+    """The report of one rule: its failed single-index checks, then its
+    failed pair checks (small < big needed when strict), in listed order."""
+    least = 1 if strict else 0
+    failed = [(name, i, i, value, 0) for name, i, value, holds in singles if not holds]
+    # a pair check (name, i, j, small, big) already reads as its violation
+    failed += [pair for pair in pairs if scalar_sign(pair[4] - pair[3]) < least]
+    violations = tuple(Violation(*v) for v in failed)
+    return HypothesisReport(rule, window, strict, not violations, violations)
 
 
 def check_monic_monotone(
@@ -74,94 +83,70 @@ def check_monic_monotone(
     """lam[j] > 0 and both sequences increasing across the window."""
     lv = lam.require(1, window)
     bv = b.require(0, window) if window else ()
-    bad: List[Violation] = []
-    for j in range(1, window + 1):
-        if scalar_sign(lv[j]) <= 0:
-            bad.append(Violation("lam positive", j, j, lv[j], 0))
-    for j in range(1, window):
-        if not _cmp_ok(lv[j], lv[j + 1], strict):
-            bad.append(Violation("lam increasing", j, j + 1, lv[j], lv[j + 1]))
-    for j in range(window):
-        if not _cmp_ok(bv[j], bv[j + 1], strict):
-            bad.append(Violation("b increasing", j, j + 1, bv[j], bv[j + 1]))
-    return HypothesisReport("monic-monotone", window, strict, not bad, tuple(bad))
+    return _scan(
+        "monic-monotone", window, strict,
+        [("lam positive", j, lv[j], scalar_sign(lv[j]) > 0) for j in range(1, window + 1)],
+        [("lam increasing", j, j + 1, lv[j], lv[j + 1]) for j in range(1, window)]
+        + [("b increasing", j, j + 1, bv[j], bv[j + 1]) for j in range(window)],
+    )
 
 
-def _raw(sys: CoefficientSystem, window: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """The raw alpha (index 0 included), beta and gamma over 0..window."""
-    return tuple(seq.require(0, window) for seq in (sys.alpha, sys.beta, sys.gamma))
+def _two_family(sys: CoefficientSystem, sys_prime: CoefficientSystem, window: int):
+    """What both dominance rules read: the raw betas over 0..window, the positivity
+    checks, and the three inequalities of alpha and gamma at a pair (i, j)."""
+    (a, b, g), (ap, bp, gp) = (
+        [seq.require(0, window) for seq in (s.alpha, s.beta, s.gamma)]
+        for s in (sys, sys_prime)
+    )
+    positive = [
+        (f"{name} positive", i, seq[i], scalar_sign(seq[i]) > 0)
+        for name, seq, lo in (
+            ("alpha", a, 1), ("alpha'", ap, 1), ("gamma", g, 0), ("gamma'", gp, 0)
+        )
+        for i in range(lo, window + 1)
+    ]
 
+    def dominates(i: int, j: int, tag: str = ""):
+        return (
+            (f"alpha >= alpha'{tag}", i, j, ap[i], a[j]),
+            (f"alpha+gamma >= alpha'+gamma'{tag}", i, j, ap[i] + gp[i], a[j] + g[j]),
+            (f"gamma >= alpha'{tag}", i, j, ap[i], g[j]),
+        )
 
-def _positivity_violations(a, g, ap, gp, window: int) -> List[Violation]:
-    bad: List[Violation] = []
-    for name, seq in (("alpha positive", a), ("alpha' positive", ap)):
-        for i in range(1, window + 1):
-            if scalar_sign(seq[i]) <= 0:
-                bad.append(Violation(name, i, i, seq[i], 0))
-    for name, seq in (("gamma positive", g), ("gamma' positive", gp)):
-        for i in range(window + 1):
-            if scalar_sign(seq[i]) <= 0:
-                bad.append(Violation(name, i, i, seq[i], 0))
-    return bad
+    return b, bp, positive, dominates
 
 
 def check_dominance(
-    sys: CoefficientSystem,
-    sys_prime: CoefficientSystem,
-    window: int,
-    strict: bool = False,
+    sys: CoefficientSystem, sys_prime: CoefficientSystem, window: int, strict: bool = False
 ) -> HypothesisReport:
     """The four two-family inequality sets over all window pairs j >= i."""
-    a, b, g = _raw(sys, window)
-    ap, bp, gp = _raw(sys_prime, window)
-    bad = _positivity_violations(a, g, ap, gp, window)
-    for i in range(window + 1):
-        for j in range(i, window + 1):
-            pairs = (
-                ("beta >= beta'", bp[i], b[j]),
-                ("alpha >= alpha'", ap[i], a[j]),
-                ("alpha+gamma >= alpha'+gamma'", ap[i] + gp[i], a[j] + g[j]),
-                ("gamma >= alpha'", ap[i], g[j]),
-            )
-            for name, small, big in pairs:
-                if not _cmp_ok(small, big, strict):
-                    bad.append(Violation(name, i, j, small, big))
-    return HypothesisReport("dominance", window, strict, not bad, tuple(bad))
+    b, bp, positive, dominates = _two_family(sys, sys_prime, window)
+    pairs = [
+        check
+        for i in range(window + 1)
+        for j in range(i, window + 1)
+        for check in (("beta >= beta'", i, j, bp[i], b[j]), *dominates(i, j))
+    ]
+    return _scan("dominance", window, strict, positive, pairs)
 
 
 def check_parity_dominance(
-    sys: CoefficientSystem,
-    sys_prime: CoefficientSystem,
-    window: int,
-    strict: bool = False,
+    sys: CoefficientSystem, sys_prime: CoefficientSystem, window: int, strict: bool = False
 ) -> HypothesisReport:
     """Both betas identically 0 plus the parity-split dominance inequalities."""
-    a, b, g = _raw(sys, window)
-    ap, bp, gp = _raw(sys_prime, window)
-    bad = _positivity_violations(a, g, ap, gp, window)
-    for name, seq in (("beta = 0", b), ("beta' = 0", bp)):
-        for i in range(window + 1):
-            if seq[i] != 0:
-                bad.append(Violation(name, i, i, seq[i], 0))
-    for parity in (0, 1):
-        i = parity
-        while i <= window:
-            j = i
-            while j <= window:
-                pairs = (
-                    (f"alpha >= alpha' ({'even' if parity == 0 else 'odd'})",
-                     ap[i], a[j]),
-                    (f"alpha+gamma >= alpha'+gamma' ({'even' if parity == 0 else 'odd'})",
-                     ap[i] + gp[i], a[j] + g[j]),
-                    (f"gamma >= alpha' ({'even' if parity == 0 else 'odd'})",
-                     ap[i], g[j]),
-                )
-                for name, small, big in pairs:
-                    if not _cmp_ok(small, big, strict):
-                        bad.append(Violation(name, i, j, small, big))
-                j += 2
-            i += 2
-    return HypothesisReport("parity-dominance", window, strict, not bad, tuple(bad))
+    b, bp, positive, dominates = _two_family(sys, sys_prime, window)
+    zero = [
+        (name, i, seq[i], seq[i] == 0)
+        for name, seq in (("beta = 0", b), ("beta' = 0", bp)) for i in range(window + 1)
+    ]
+    pairs = [
+        check
+        for parity, tag in ((0, " (even)"), (1, " (odd)"))
+        for i in range(parity, window + 1, 2)
+        for j in range(i, window + 1, 2)
+        for check in dominates(i, j, tag)
+    ]
+    return _scan("parity-dominance", window, strict, positive + zero, pairs)
 
 
 @dataclass(frozen=True)
@@ -176,11 +161,24 @@ class PositivityCertificate:
     instance: Tuple[int, int, int]
     oriented: Tuple[int, int, int]
     rows: Tuple[Tuple[MotzkinPath, Scalar, int], ...]
-    all_nonnegative: bool
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return all(s >= 0 for _, _, s in self.rows)
 
     @property
     def weight_sum(self) -> Scalar:
         return scalar_sum(w for _, w, _ in self.rows)
+
+
+def _certificate(
+    instance: Tuple[int, int, int], oriented: Tuple[int, int, int], allow_hh: bool,
+    weigh: Callable[[MotzkinPath], Scalar],
+) -> PositivityCertificate:
+    """Weigh and sign every path of the oriented census, in census order."""
+    census = enumerate_paths(*oriented, allow_hh=allow_hh)
+    rows = tuple((path, w, scalar_sign(w)) for path, w in zip(census, map(weigh, census)))
+    return PositivityCertificate(instance, oriented, rows)
 
 
 def certify_monic(
@@ -188,33 +186,18 @@ def certify_monic(
 ) -> PositivityCertificate:
     """Per-path weights for a same-family product, oriented so k <= n."""
     nn, kk = (n, k) if k <= n else (k, n)
-    rows = []
-    ok = True
-    for path in enumerate_paths(m, nn, kk, allow_hh=False):
-        w = path_weight_monic(path, b, lam)
-        s = scalar_sign(w)
-        ok = ok and s >= 0
-        rows.append((path, w, s))
-    return PositivityCertificate((m, n, k), (m, nn, kk), tuple(rows), ok)
+    return _certificate(
+        (m, n, k), (m, nn, kk), False, lambda path: path_weight_monic(path, b, lam)
+    )
 
 
 def certify_mixed(
-    m: int,
-    n: int,
-    k_prime: int,
-    sys: CoefficientSystem,
-    sys_prime: CoefficientSystem,
+    m: int, n: int, k_prime: int, sys: CoefficientSystem, sys_prime: CoefficientSystem
 ) -> PositivityCertificate:
     """Per-path weights for a mixed product, oriented so k' <= end level
     whenever k' <= max(m, n)."""
-    mm, nn = (m, n)
-    if k_prime > n and k_prime <= m:
-        mm, nn = n, m
-    rows = []
-    ok = True
-    for path in enumerate_paths(mm, nn, k_prime, allow_hh=True):
-        w = path_weight_mixed(path, sys, sys_prime)
-        s = scalar_sign(w)
-        ok = ok and s >= 0
-        rows.append((path, w, s))
-    return PositivityCertificate((m, n, k_prime), (mm, nn, k_prime), tuple(rows), ok)
+    mm, nn = (n, m) if n < k_prime <= m else (m, n)
+    return _certificate(
+        (m, n, k_prime), (mm, nn, k_prime), True,
+        lambda path: path_weight_mixed(path, sys, sys_prime),
+    )

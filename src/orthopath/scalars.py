@@ -366,10 +366,6 @@ def parse_scalar(text: str) -> Scalar:
 
 # -- generic helpers -----------------------------------------------------
 
-def is_symbolic(x: Scalar) -> bool:
-    return isinstance(x, Poly)
-
-
 def scalar_sign(x: Scalar) -> int:
     """Sign of a numeric scalar: -1, 0, or +1.  Symbolic input is an error."""
     if isinstance(x, Poly):

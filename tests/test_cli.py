@@ -291,3 +291,54 @@ def test_zero_alpha_is_an_input_error_even_where_the_walk_cancels(capsys, tmp_pa
         assert (code, out, err) == (2, "", "error: division by zero coefficient\n"), argv
     code, _, _ = run(capsys, "lincoef", "--m", "1", "--n", "1", "--system", str(path))
     assert code == 0
+
+
+# -- positivity exit status ----------------------------------------------------
+
+HERMITE = str(SYSTEMS_DIR / "hermite_like.json")
+MONOTONE_PAIR = ("--system", MONOTONE, "--system-prime", MONOTONE_PRIME)
+
+
+def negative_weights(monkeypatch):
+    """Every certificate row weighs -1."""
+    import orthopath.positivity as positivity
+
+    monkeypatch.setattr(positivity, "path_weight_monic", lambda path, b, lam: -1)
+    monkeypatch.setattr(positivity, "path_weight_mixed", lambda path, s, p: -1)
+
+
+def positivity_exit(capsys, instance, *argv):
+    """The exit status and whether the first (binding) report holds."""
+    m, n, k = instance
+    code, out, err = run(capsys, "positivity", "--m", str(m), "--n", str(n),
+                         "--k", str(k), *argv, "--format", "records")
+    assert err == ""
+    certs = [r for r in records(out) if r["kind"] == "certificate"]
+    assert len(certs) == 1 and not certs[0]["all_nonnegative"]
+    return code, records(out)[0]["holds"]
+
+
+def test_positivity_exit_1_when_a_holding_monic_rule_meets_a_negative_row(
+    capsys, monkeypatch
+):
+    negative_weights(monkeypatch)
+    assert positivity_exit(capsys, (1, 1, 1), "--system", MONOTONE_MONIC) == (1, True)
+    # the strict rule fails on constant sequences, so nothing is guaranteed
+    assert positivity_exit(capsys, (1, 1, 1), "--system", CHEBYSHEV, "--strict") == (0, False)
+
+
+def test_positivity_exit_1_when_dominance_guarantees_the_oriented_instance(
+    capsys, monkeypatch
+):
+    negative_weights(monkeypatch)
+    assert positivity_exit(capsys, (1, 1, 1), *MONOTONE_PAIR) == (1, True)
+    # n < k' <= m: the certificate swaps m and n, so k' <= its end level
+    assert positivity_exit(capsys, (3, 1, 2), *MONOTONE_PAIR) == (1, True)
+    # k' > max(m, n): no orientation keeps k' <= the end level
+    assert positivity_exit(capsys, (0, 0, 2), *MONOTONE_PAIR) == (0, True)
+
+
+def test_positivity_exit_0_when_dominance_fails(capsys, monkeypatch):
+    negative_weights(monkeypatch)
+    argv = ("--system", HERMITE, "--system-prime", MONOTONE)
+    assert positivity_exit(capsys, (1, 1, 1), *argv) == (0, False)

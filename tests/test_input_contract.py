@@ -346,3 +346,56 @@ def test_system_prime_is_not_an_option_where_nothing_reads_it(capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("usage: orthopath")
     assert "unrecognized arguments: --system-prime /nonexistent" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paths", "--m", "1", "--n", "1", "--k", "1"),
+        ("verify", "--max", "0", "--method", "monic", "--system", MONOTONE_MONIC),
+        ("verify", "--max", "1", "--method", "all", "--system", MONOTONE_MONIC),
+    ],
+    ids=["paths", "verify-monic", "verify-all"],
+)
+def test_every_system_prime_given_is_opened(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, *argv, "--system-prime", missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_paths_system_prime_without_system_points_to_generalized(capsys):
+    prime = SYSTEMS_DIR / "monotone_prime.json"
+    err = expect_input_error(capsys, "paths", "--m", "1", "--n", "1", "--k", "1",
+                             "--system-prime", prime)
+    assert "--generalized" in err
+
+
+ZERO_GAMMA = {
+    "alpha": {"family": "constant", "value": "1"},
+    "beta": {"family": "constant", "value": "1"},
+    "gamma": {"family": "explicit", "values": ["1", "0", "2", "3", "4", "5"]},
+}
+
+
+@pytest.mark.parametrize("method", ["monic", "mixed"])
+def test_lincoef_path_methods_name_a_zero_norm(capsys, tmp_path, method):
+    path = write_system(tmp_path, ZERO_GAMMA)
+    code, out, err = run(capsys, "lincoef", "--m", "1", "--n", "1", "--method", method,
+                         "--system", path)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: L(p2*p2) is zero, so --method {method} "
+                   "cannot recover a[1,1]^2\n")
+
+
+def test_lincoef_oracle_reads_a_zero_norm_unchanged(capsys, tmp_path):
+    path = write_system(tmp_path, ZERO_GAMMA)
+    code, out, err = run(capsys, "lincoef", "--m", "1", "--n", "1", "--system", path,
+                         "--format", "records")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["k"], r["coefficient"], r["l_value"]) for r in rows] == [
+        (0, "1", "1"), (1, "0", "0"), (2, "1", "0"),
+    ]

@@ -348,3 +348,85 @@ def test_verify_keeps_streamed_output_before_an_error(capsys, monkeypatch, fmt):
             "(0,0,0)       monic   oracle                1                         1"
             "                         ok\n"
         )
+
+
+# Systems that fail their hypotheses, so the order, names, indices and
+# values of the reported violations are held to fixed bytes too.
+MONOTONE_PAIR_WIDE = ("--max", "1", "--system", MONOTONE, "--system-prime", MONOTONE,
+                      "--window", "6")
+FAILING_SHIPPED = {
+    "monic-strict": ("--max", "2", "--system", CHEBYSHEV, "--strict"),
+    "dominance": ("--max", "2", "--system", CHEBYSHEV, "--system-prime", HERMITE),
+    "beta-zero": MONOTONE_PAIR_WIDE,
+}
+FAILING_SHIPPED_DIGESTS = {
+    ("monic-strict", "table"):
+        "2a20881726cb58a84aaa25dade92e88e87abaab679334fb46deb8a4e3abe8ae7",
+    ("monic-strict", "records"):
+        "997693548b5be561245b463aba1ab734fe757b386fc8320cb33f4da6e6a542f9",
+    ("dominance", "table"):
+        "d6a6089e9b8d05f00035fda765337a61a68675c6adbac492d8fc9eeca57783a4",
+    ("dominance", "records"):
+        "c142e25b412aa340d2899fca7b273e3a18aa43e5833d7dd80b542191cfe7d5ed",
+    ("beta-zero", "table"):
+        "61bd86003f8b5e1911d719e1164752aa6ef9d0824402b1cf9b06579e45c2f99d",
+    ("beta-zero", "records"):
+        "5245f1f988f4810e1dcacd8fcf26b770a89a86632c212358023711691e58bd0e",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(FAILING_SHIPPED_DIGESTS))
+def test_positivity_violation_bytes_are_pinned(capsys, case, fmt):
+    code, out = run(capsys, "positivity", *FAILING_SHIPPED[case], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_SHIPPED_DIGESTS[case, fmt]
+
+
+def _explicit(*values):
+    return {"family": "explicit", "values": list(values)}
+
+
+NONPOSITIVE_SYSTEMS = {
+    # lam[3] = gamma[2] = 0 and lam[5] = gamma[4] = -1
+    "monic": {
+        "alpha": {"family": "constant", "value": "1"},
+        "beta": {"family": "affine", "c0": "0", "c1": "1"},
+        "gamma": _explicit("1", "2", "0", "4", "-1", "6", "7", "8"),
+    },
+    # alpha[2] = -2 (the raw alpha[0] = 0 is not scanned), gamma'[1] = 0
+    "main": {
+        "alpha": _explicit("0", "1", "-2", "3", "4", "5", "6", "7"),
+        "beta": {"family": "constant", "value": "0"},
+        "gamma": {"family": "constant", "value": "3"},
+    },
+    "prime": {
+        "alpha": {"family": "constant", "value": "1"},
+        "beta": {"family": "constant", "value": "0"},
+        "gamma": _explicit("1", "0", "2", "2", "2", "2", "2", "2"),
+    },
+}
+NONPOSITIVE_DIGESTS = {
+    ("monic", "table"):
+        "7a41e0507d60d5c9d641ce3c1f88ae23859773cbc5d33b2e88d13d9a9d8bff63",
+    ("monic", "records"):
+        "842c4437d919596edf6098bbe7baacabd80360b8e2c78af952f89902011f8a82",
+    ("two-family", "table"):
+        "6a042976db03628da2353f217eadf407c0daac963b18076d1a1431e3e92fe5b5",
+    ("two-family", "records"):
+        "1599bf0453df3bfe9d0e5d920a7b02e8a0689e102edf782d16dadee0a79bc55b",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(NONPOSITIVE_DIGESTS))
+def test_positivity_nonpositive_entry_bytes_are_pinned(capsys, tmp_path, case, fmt):
+    files = {}
+    for name, spec in NONPOSITIVE_SYSTEMS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(spec))
+    if case == "monic":
+        systems = ("--system", str(files["monic"]))
+    else:
+        systems = ("--system", str(files["main"]), "--system-prime", str(files["prime"]))
+    code, out = run(capsys, "positivity", "--max", "1", *systems, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NONPOSITIVE_DIGESTS[case, fmt]
