@@ -265,15 +265,21 @@ def _verify_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[
 # -- positivity --------------------------------------------------------------
 
 def _cmd_positivity(args: argparse.Namespace) -> Stream:
-    sys_ = _load(args)
-    prime = _load_prime(args)
+    # the instances are checked first: a bad selection prints no report
+    picked = (args.m, args.n, args.k)
     if args.max is not None:
+        if picked != (None, None, None):
+            raise ValueError("positivity takes --max or --m/--n/--k, not both")
         _require_nonnegative_max(args)
         instances = list(itertools.product(range(args.max + 1), repeat=3))
+    elif None in picked:
+        raise ValueError("positivity needs --m/--n/--k or --max")
+    elif min(picked) < 0:
+        raise ValueError(f"--m, --n and --k must be nonnegative, got {picked}")
     else:
-        if args.m is None or args.n is None or args.k is None:
-            raise ValueError("positivity needs --m/--n/--k or --max")
-        instances = [(args.m, args.n, args.k)]
+        instances = [picked]
+    sys_ = _load(args)
+    prime = _load_prime(args)
     needed = max(required_window(*inst) for inst in instances)
     window = needed if args.window is None else args.window
     if window < needed:

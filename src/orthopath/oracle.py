@@ -198,8 +198,9 @@ def _product_vectors(
     """Vectors p_m * q_j for j = 0..top (or more), in scaled form, where q
     runs the ``primed`` recurrence and the expansion lives in the
     (unprimed) p-basis of ``sys``.  Kept on ``sys`` and extended on
-    demand; never mutate them."""
-    sys.require_range(m + top + 1)
+    demand; never mutate them.  Both systems are first probed for
+    exactly the coefficients the walk reads."""
+    sys.require_range(m + top)
     primed.require_range(top)
     # keyed by identity; the entry keeps primed alive (a system needs no
     # reference to itself) and is used only if it holds this very object

@@ -13,7 +13,9 @@ convention, which is what the two-family edge weights need at height 0
 Sequences come in a few shapes (explicit list, affine in the index,
 constant, symbolic family), are immutable, and evaluate eagerly: an
 explicit list raises :class:`SequenceRangeError` on any out-of-range
-index rather than extending silently.
+index rather than extending silently.  A system decides its scalar
+domain when it is built: symbolic exactly when a sequence is a symbolic
+family or holds a ``Poly``.
 
 Hot loops do not evaluate ``at`` per edge.  ``materialize(top)`` turns a
 sequence, or a whole system, into plain tuples over indices 0..top,
@@ -43,7 +45,7 @@ Rationals are decimal-free strings "p/q".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple, Tuple, Union
@@ -100,8 +102,8 @@ def _present(value: Scalar) -> Scalar:
 
 
 def _entries(values: Tuple[Scalar, ...], lo: int, hi: int) -> Iterator[Scalar]:
-    """values[lo..hi] in index order, raising at the first out-of-range one."""
-    return map(_present, values[lo : hi + 1])
+    """values[lo..hi] in order (none if hi < lo), raising at the first out-of-range one."""
+    return map(_present, values[lo : hi + 1] if lo <= hi else ())
 
 
 def _memo(obj: object) -> dict:
@@ -165,10 +167,6 @@ class ExplicitSeq(_Materialized):
             )
         return self.values[i]
 
-    @property
-    def is_symbolic(self) -> bool:
-        return any(isinstance(v, Poly) for v in self.values)
-
 
 @dataclass(frozen=True)
 class AffineSeq(_Materialized):
@@ -182,8 +180,6 @@ class AffineSeq(_Materialized):
             raise SequenceRangeError(f"negative index {i}")
         return self.c0 + self.c1 * i
 
-    is_symbolic = False
-
 
 @dataclass(frozen=True)
 class ConstantSeq(_Materialized):
@@ -193,10 +189,6 @@ class ConstantSeq(_Materialized):
         if i < 0:
             raise SequenceRangeError(f"negative index {i}")
         return self.value
-
-    @property
-    def is_symbolic(self) -> bool:
-        return isinstance(self.value, Poly)
 
 
 @dataclass(frozen=True)
@@ -210,8 +202,6 @@ class SymbolicSeq(_Materialized):
         if i < 0 or i + self.shift < 0:
             raise SequenceRangeError(f"negative index {i}")
         return indet(self.family, i + self.shift)
-
-    is_symbolic = True
 
 
 @dataclass(frozen=True)
@@ -237,17 +227,13 @@ class ShiftedSeq(_Materialized):
             values = memo["values"] = head
         return values
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.base.is_symbolic
-
 
 SequenceSpec = Union[ExplicitSeq, AffineSeq, ConstantSeq, SymbolicSeq, ShiftedSeq]
 
 
-def _defining_scalars(s: SequenceSpec) -> Tuple[Scalar, ...]:
-    """The scalars a sequence is built from.  Every entry is integral
-    exactly when they all are (an affine c0 + c1*i needs both integral)."""
+def _defining_scalars(s: SequenceSpec) -> Tuple[Union[Scalar, SymbolicSeq], ...]:
+    """The scalars a sequence is built from, a symbolic family as itself.
+    Every entry is integral exactly when they all are (affine: c0 and c1)."""
     if isinstance(s, ShiftedSeq):
         return _defining_scalars(s.base)
     if isinstance(s, ExplicitSeq):
@@ -256,7 +242,7 @@ def _defining_scalars(s: SequenceSpec) -> Tuple[Scalar, ...]:
         return (s.c0, s.c1)
     if isinstance(s, ConstantSeq):
         return (s.value,)
-    return ()
+    return (s,)
 
 
 class Coefficients(NamedTuple):
@@ -281,20 +267,18 @@ class CoefficientSystem:
     beta: SequenceSpec
     gamma: SequenceSpec
     label: str = "system"
+    is_symbolic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.is_symbolic and any(
-            isinstance(v, Fraction) and v.denominator != 1
-            for s in (self.alpha, self.beta, self.gamma)
-            for v in _defining_scalars(s)
-        ):
-            raise DomainMismatchError(
-                "symbolic systems cannot mix in non-integer rationals"
-            )
-
-    @property
-    def is_symbolic(self) -> bool:
-        return any(s.is_symbolic for s in (self.alpha, self.beta, self.gamma))
+        # one walk over the defining scalars decides the scalar domain
+        symbolic = fractional = False
+        for s in (self.alpha, self.beta, self.gamma):
+            for v in _defining_scalars(s):
+                symbolic |= isinstance(v, (Poly, SymbolicSeq))
+                fractional |= isinstance(v, Fraction) and v.denominator != 1
+        if symbolic and fractional:
+            raise DomainMismatchError("symbolic systems cannot mix in non-integer rationals")
+        object.__setattr__(self, "is_symbolic", symbolic)
 
     def memo(self) -> dict:
         """The instance's cache of derived values."""
@@ -339,10 +323,10 @@ class CoefficientSystem:
         return self._at(which, i)
 
     def require_range(self, top: int) -> None:
-        """Eagerly probe every coefficient needed for indices up to ``top``."""
+        """Eagerly probe every coefficient the recurrence reads to build p_0..p_top."""
         self.alpha.require(1, top)
-        self.beta.require(0, top)
-        self.gamma.require(0, top)
+        self.beta.require(0, top - 1)
+        self.gamma.require(0, top - 2)
 
     def is_monic(self, upto: int) -> bool:
         """True when alpha is identically 1 over indices 1..upto."""

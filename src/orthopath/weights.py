@@ -50,11 +50,12 @@ factor is the sum of its tagged monomials:
           HH:-g'  -gamma'[x] * alpha'[x+1]
 
 (alpha[0] = 0 by the system convention, so HH:a does not exist at level
-0.)  Merged: the same monomials with the marked tags (U:-a', D:-a', HH:a,
-HH:g, HH:-a') dropped, so H (beta[j] - beta'[x]), U gamma[j], D alpha[j]
-and HH -gamma'[x] * alpha'[x+1], whatever the context.  These are the
-fixed points of the sign-reversing involution, which pairs off every
-term with a marked choice.
+0.)  The sign-reversing involution is four pairings (``_PAIRINGS``),
+each of a marked HH choice with the U,D or D,U pair it splits into; the
+marked choices (U:-a', D:-a', HH:a, HH:g, HH:-a') are the HH choices and
+the last of each pair.  Merged: the fixed points, the same monomials with
+the marked tags dropped, so H (beta[j] - beta'[x]), U gamma[j], D alpha[j]
+and HH -gamma'[x] * alpha'[x+1], whatever the context.
 
 Count: every factor is 1, over plain paths.
 
@@ -297,9 +298,7 @@ def strict_monic_weight_sum(
 # -- the two-family tables --------------------------------------------------
 
 # Per-edge choice tags.  H edges keep their whole weight as one atomic
-# factor; every other edge picks one monomial of its weight.  Tags whose
-# monomial mentions alpha' are "marked" and get cancelled by the
-# involution, except the -gamma'*alpha' monomial of HH which survives.
+# factor; every other edge picks one monomial of its weight.
 H_ATOM = "H"
 U_GAMMA = "U:g"
 U_APRIME = "U:-a'"
@@ -310,7 +309,19 @@ HH_GAMMA = "HH:g"
 HH_APRIME = "HH:-a'"
 HH_GPRIME = "HH:-g'"
 
-_MARKED = frozenset({U_APRIME, D_APRIME, HH_ALPHA, HH_GAMMA, HH_APRIME})
+# The sign-reversing involution's pairings: a marked HH choice, the step
+# it must follow (None: any), and the steps and choices of the U,D or D,U
+# pair it splits into.  The pair's last choice is the marked one that
+# collapses it back into the HH.
+_PAIRINGS = (
+    (HH_ALPHA, None, (DOWN, UP), (D_ALPHA, U_APRIME)),
+    (HH_GAMMA, None, (UP, DOWN), (U_GAMMA, D_APRIME)),
+    (HH_APRIME, DOWN, (UP, DOWN), (U_APRIME, D_APRIME)),
+    (HH_APRIME, UP, (DOWN, UP), (D_APRIME, U_APRIME)),
+)
+_SPLIT = {(hh, after): (steps, pair) for hh, after, steps, pair in _PAIRINGS}
+_COLLAPSE = {pair: hh for hh, _, _, pair in _PAIRINGS}
+_MARKED = frozenset(tag for hh, _, _, pair in _PAIRINGS for tag in (hh, pair[-1]))
 _NEGATIVE = frozenset({U_APRIME, D_APRIME, HH_APRIME, HH_GPRIME})
 
 _TWO_FAMILY_LEAVES = {UP: UP, DOWN: DOWN}
@@ -521,49 +532,25 @@ def sign_involution(
     """The sign-reversing involution on choice terms.
 
     Scans the path right to left for the first marked choice.  A marked
-    HH splits into a U,D or D,U pair carrying the matching monomials; a
-    marked U or D collapses with its predecessor into an HH.  Non-fixed
-    terms map to terms of opposite structural sign and negated value;
-    fixed points return unchanged.
+    HH splits into the U,D or D,U pair of its pairing; a marked U or D
+    ends a pair and collapses with its predecessor into that pairing's
+    HH.  Non-fixed terms map to terms of opposite structural sign and
+    negated value; fixed points return unchanged.
     """
-    steps = term.path.steps
-    tags = term.tags
-    pivot = -1
-    for e in range(len(tags) - 1, -1, -1):
-        if tags[e] in _MARKED:
-            pivot = e
-            break
-    if pivot < 0:
+    steps, tags = term.path.steps, term.tags
+    marked = [e for e, tag in enumerate(tags) if tag in _MARKED]
+    if not marked:
         return term
-
-    step = steps[pivot]
-    tag = tags[pivot]
+    pivot = marked[-1]
     prev = steps[pivot - 1] if pivot > 0 else None
-    if step == ACROSS2:
-        if tag == HH_ALPHA:
-            repl_steps, repl_tags = (DOWN, UP), (D_ALPHA, U_APRIME)
-        elif tag == HH_GAMMA:
-            repl_steps, repl_tags = (UP, DOWN), (U_GAMMA, D_APRIME)
-        elif prev == DOWN:
-            repl_steps, repl_tags = (UP, DOWN), (U_APRIME, D_APRIME)
-        else:  # HH_APRIME preceded by U
-            repl_steps, repl_tags = (DOWN, UP), (D_APRIME, U_APRIME)
-        new_steps = steps[:pivot] + repl_steps + steps[pivot + 1 :]
-        new_tags = tags[:pivot] + repl_tags + tags[pivot + 1 :]
-    else:
-        # a marked U is always preceded by D, a marked D by U; collapse
-        # the pair into one HH whose monomial combines the partner's
-        # choice with the alpha' factor carried here
-        partner = tags[pivot - 1]
-        if step == UP:
-            combined = HH_ALPHA if partner == D_ALPHA else HH_APRIME
-        else:
-            combined = HH_GAMMA if partner == U_GAMMA else HH_APRIME
-        new_steps = steps[: pivot - 1] + (ACROSS2,) + steps[pivot + 1 :]
-        new_tags = tags[: pivot - 1] + (combined,) + tags[pivot + 1 :]
-    return make_term(
-        MotzkinPath(term.path.start, new_steps), new_tags, sys, sys_prime
-    )
+    split = _SPLIT.get((tags[pivot], prev)) or _SPLIT.get((tags[pivot], None))
+    if split is not None:
+        lo, (repl_steps, repl_tags) = pivot, split
+    else:  # the marked U or D ends a pair: the pair collapses into its HH
+        lo = pivot - 1
+        repl_steps, repl_tags = (ACROSS2,), (_COLLAPSE[tags[lo : pivot + 1]],)
+    path = MotzkinPath(term.path.start, steps[:lo] + repl_steps + steps[pivot + 1 :])
+    return make_term(path, tags[:lo] + repl_tags + tags[pivot + 1 :], sys, sys_prime)
 
 
 # -- dynamic-programming evaluation -----------------------------------------

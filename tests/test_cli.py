@@ -342,3 +342,29 @@ def test_positivity_exit_0_when_dominance_fails(capsys, monkeypatch):
     negative_weights(monkeypatch)
     argv = ("--system", HERMITE, "--system-prime", MONOTONE)
     assert positivity_exit(capsys, (1, 1, 1), *argv) == (0, False)
+
+
+# -- README --------------------------------------------------------------------
+
+def readme_cli_examples():
+    """The ``orthopath ...`` lines of README's CLI example block, with
+    backslash continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    block = next(b for b in blocks if "\northopath " in b)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("orthopath ")]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(SYSTEMS_DIR.parent)
+    examples = readme_cli_examples()
+    assert len(examples) == 8
+    outputs = {}
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        outputs[" ".join(argv)] = out
+    first = outputs[" ".join(examples[0])].splitlines()
+    assert [line.split()[1] for line in first[1:]] == ["1", "0", "1"]
+    assert outputs["paths --m 3 --n 3 --k 3"].splitlines()[-1] == "7 path(s)"

@@ -176,6 +176,44 @@ def test_explicit_system_one_index_short_for_verify(capsys, tmp_path):
     assert out.strip().endswith("binding checks: 108/108 matched")
 
 
+# Every coefficient that p1*p1 = p2 + p0 and its L-values read, and no more.
+P1_SQUARED = {
+    "alpha": {"family": "explicit", "values": [0, 1, 1]},
+    "beta": {"family": "explicit", "values": [0, 0]},
+    "gamma": {"family": "explicit", "values": [1, 1]},
+}
+P1_SQUARED_COMMANDS = [
+    ("lincoef", "--m", 1, "--n", 1),
+    ("lincoef", "--m", 1, "--n", 1, "--method", "mixed"),
+    ("connect", "--m", 1, "--k", 1),
+]
+
+
+@pytest.mark.parametrize("command", P1_SQUARED_COMMANDS, ids=lambda c: " ".join(map(str, c)))
+def test_the_oracle_reads_only_the_coefficients_it_uses(capsys, tmp_path, command):
+    path = write_system(tmp_path, P1_SQUARED)
+    code, out, err = run(capsys, *command, "--system", path, "--format", "records")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["coefficient"], r["l_value"]) for r in rows] == [("1", "1"), ("0", "0"), ("1", "1")]
+
+
+@pytest.mark.parametrize("which, missing", [("alpha", 2), ("beta", 1), ("gamma", 1)])
+@pytest.mark.parametrize("command", P1_SQUARED_COMMANDS, ids=lambda c: " ".join(map(str, c)))
+def test_one_coefficient_short_of_what_the_oracle_uses(capsys, tmp_path, command, which, missing):
+    obj = json.loads(json.dumps(P1_SQUARED))
+    del obj[which]["values"][-1]
+    err = expect_input_error(capsys, *command, "--system", write_system(tmp_path, obj))
+    assert err == f"error: index {missing} outside explicit sequence of length {missing}\n"
+
+
+def test_monic_lincoef_still_checks_alpha_up_to_m_plus_n_plus_1(capsys, tmp_path):
+    path = write_system(tmp_path, P1_SQUARED)
+    err = expect_input_error(capsys, "lincoef", "--m", 1, "--n", 1, "--method", "monic",
+                             "--system", path)
+    assert err == "error: index 3 outside explicit sequence of length 3\n"
+
+
 _VALUES = st.one_of(
     st.integers(-5, 5),
     st.sampled_from(["1", "-2/3", "0", "5/2", "1/0", "1e3", "0.5", "x", ""]),
@@ -333,6 +371,26 @@ def test_symbolic_systems_accept_integral_affine_and_constant_sequences():
 def test_negative_positivity_max_is_an_input_error(capsys):
     err = expect_input_error(capsys, "positivity", "--max", -1, "--system", MONOTONE_MONIC)
     assert err == "error: --max must be nonnegative, got -1\n"
+
+
+MONOTONE_PAIR = ("--system", str(SYSTEMS_DIR / "monotone.json"),
+                 "--system-prime", str(SYSTEMS_DIR / "monotone_prime.json"))
+
+
+@pytest.mark.parametrize("selection, message", [
+    (("--m", -1, "--n", 0, "--k", 0), "--m, --n and --k must be nonnegative, got (-1, 0, 0)"),
+    (("--m", 0, "--n", -1, "--k", 0), "--m, --n and --k must be nonnegative, got (0, -1, 0)"),
+    (("--m", 2, "--n", 0, "--k", -3), "--m, --n and --k must be nonnegative, got (2, 0, -3)"),
+    (("--max", 1, "--m", 5, "--n", 5, "--k", 5), "positivity takes --max or --m/--n/--k, not both"),
+    (("--max", 1, "--k", 0), "positivity takes --max or --m/--n/--k, not both"),
+], ids=["m", "n", "k", "max with m/n/k", "max with k"])
+@pytest.mark.parametrize("systems", [("--system", MONOTONE_MONIC), MONOTONE_PAIR],
+                         ids=["monic", "two-family"])
+def test_positivity_rejects_its_instance_selection_before_printing(
+    capsys, selection, message, systems
+):
+    code, out, err = run(capsys, "positivity", *selection, *systems)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,14 @@ denominators, negative alpha included.
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import orthopath.oracle as oracle_mod
 from orthopath import (
     CoefficientSystem,
     ExplicitSeq,
+    SequenceRangeError,
     connection_expand,
     expand_product,
     mixed_expand,
@@ -103,3 +105,69 @@ def test_a_step_leaves_a_positive_reduced_denominator():
         2: Fraction(-9, 2) / Fraction(-4, 9),
         0: (3 + Fraction(2, 5)) / Fraction(-4, 9),
     }
+
+
+# -- what the walk reads -------------------------------------------------------
+
+st_short_sequence = st.lists(st_nonzero, max_size=6).map(lambda vals: ExplicitSeq(tuple(vals)))
+st_short_system = st.builds(
+    CoefficientSystem, alpha=st_short_sequence, beta=st_short_sequence, gamma=st_short_sequence
+)
+
+
+def covers(seq, lo, hi):
+    """An explicit sequence holds every index in lo..hi."""
+    return hi < lo or hi < len(seq.values)
+
+
+def walk_covered(first, second, start, top):
+    """The walk to p_start * q_top reads alpha[1..T], beta[0..T-1] and
+    gamma[0..T-2] of the first system at T = start + top, and of the
+    second at T = top."""
+    return all(
+        covers(s.alpha, 1, t) and covers(s.beta, 0, t - 1) and covers(s.gamma, 0, t - 2)
+        for s, t in ((first, start + top), (second, top))
+    )
+
+
+def norm(sys, t):
+    """L(p_t * p_t) = gamma[0..t-1] / alpha[1..t], by plain products."""
+    value = Fraction(1)
+    for i in range(t):
+        value = value * sys.gamma.at(i) / sys.alpha.at(i + 1)
+    return value
+
+
+def with_l_values(vec, sys):
+    """The reference's table: every target over the support, with its L-value."""
+    return {t: (vec.get(t, 0), vec.get(t, 0) * norm(sys, t)) for t in range(min(vec), max(vec) + 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_short_system, st_short_system, st.integers(0, 3), st.integers(0, 3))
+def test_the_walk_probes_exactly_the_coefficients_it_reads(sys, prime, m, j):
+    def entries(table):
+        return dict(table.entries)
+
+    calls = [
+        (lambda: entries(expand_product(m, j, sys)), sys, sys, m, True),
+        (lambda: entries(mixed_expand(m, j, sys, prime)), sys, prime, m, True),
+        (lambda: connection_expand(j, sys, prime), sys, prime, 0, False),
+    ]
+    for call, first, second, start, tabled in calls:
+        try:
+            want = recurrence_products(start, j, first, second)[j]
+        except SequenceRangeError:
+            with pytest.raises(SequenceRangeError):
+                call()
+            continue
+        top = max(want)
+        covered = walk_covered(first, second, start, j) and (
+            not tabled or (covers(first.gamma, 0, top - 1) and covers(first.alpha, 1, top))
+        )
+        try:
+            got = call()
+        except SequenceRangeError:
+            assert not covered
+        else:
+            assert got == (with_l_values(want, first) if tabled else want)

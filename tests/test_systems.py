@@ -9,6 +9,7 @@ from orthopath import (
     AffineSeq,
     CoefficientSystem,
     ConstantSeq,
+    DomainMismatchError,
     ExplicitSeq,
     SequenceRangeError,
     ShiftedSeq,
@@ -129,6 +130,44 @@ def test_shifted_seq():
     assert gamma.at(0) == 1
     back = ShiftedSeq(gamma, -1)
     assert back.at(3) == 3
+
+
+# -- scalar domain ---------------------------------------------------------------
+
+DOMAIN_CASES = {
+    "explicit": (ExplicitSeq((Fraction(1, 2), 2)), False),
+    "explicit with a Poly": (ExplicitSeq((1, indet("b", 0) + 1)), True),
+    "constant int": (ConstantSeq(3), False),
+    "constant Poly": (ConstantSeq(indet("l", 2)), True),
+    "affine": (AffineSeq(Fraction(1, 2), Fraction(1)), False),
+    "symbolic": (SymbolicSeq("b"), True),
+    "symbolic, unknown family": (SymbolicSeq("zz"), True),
+}
+
+
+@pytest.mark.parametrize("shift", [None, 1, -1], ids=["direct", "shifted up", "shifted down"])
+@pytest.mark.parametrize("name", sorted(DOMAIN_CASES))
+def test_is_symbolic_over_every_sequence_kind(name, shift):
+    seq, symbolic = DOMAIN_CASES[name]
+    if shift is not None:
+        seq = ShiftedSeq(seq, shift)
+    for which in ("alpha", "beta", "gamma"):
+        fields = {"alpha": ConstantSeq(1), "beta": ConstantSeq(0), "gamma": ConstantSeq(1)}
+        fields[which] = seq
+        assert CoefficientSystem(**fields).is_symbolic is symbolic
+
+
+def test_symbolic_family_is_not_evaluated_at_construction():
+    sys = CoefficientSystem(ConstantSeq(1), ShiftedSeq(SymbolicSeq("zz"), 1), ConstantSeq(1))
+    assert sys.is_symbolic
+    with pytest.raises(ValueError, match="unknown indeterminate family 'zz'"):
+        sys.beta_at(0)
+
+
+def test_shifted_non_integer_rational_beside_a_symbolic_sequence_is_rejected():
+    halves = ShiftedSeq(ExplicitSeq((1, Fraction(1, 2), 2)), 1)
+    with pytest.raises(DomainMismatchError, match="cannot mix in non-integer rationals"):
+        CoefficientSystem(ConstantSeq(1), SymbolicSeq("b"), halves)
 
 
 # -- JSON wire format ---------------------------------------------------------
