@@ -110,6 +110,12 @@ class MotzkinPath:
         return f"{self.start}:{body}"
 
 
+def check_instance(m: int, n: int, k: int) -> None:
+    """Reject a negative start level, end level or length."""
+    if m < 0 or n < 0 or k < 0:
+        raise ValueError("levels and length must be nonnegative")
+
+
 def enumerate_paths(
     m: int,
     n: int,
@@ -123,8 +129,7 @@ def enumerate_paths(
     two-unit across step; ``boundary_dips`` admits level-0 D,U excursions
     (mutually exclusive with ``allow_hh``).
     """
-    if m < 0 or n < 0 or k < 0:
-        raise ValueError("levels and length must be nonnegative")
+    check_instance(m, n, k)
     if allow_hh and boundary_dips:
         raise ValueError("boundary dips only apply to plain paths")
     out: List[MotzkinPath] = []

@@ -65,6 +65,22 @@ the per-path fold computes each factor once per (context, step, x,
 level).  The DP meets each factor once per call and reads the rule
 directly, so a long DP leaves no factors behind.
 
+Fraction-free DP
+----------------
+
+Every factor is homogeneous in the coefficients when each two-family
+sequence has degree 1, and monic b degree 1 and lam degree 2 (the
+grading of the Jacobi matrix).  A two-family edge then has the degree of
+its x-length, and a monic path (0, m) -> (k, n) has degree
+#H + 2*#D = k - (n - m).  So on a numeric system the DP runs on ``int``.
+Each table keeps a copy of its coefficients scaled over their common
+denominator D: each value times D to its degree, placeholders kept, so a
+short system raises where it did.  The total is divided once, by D^k for
+the two-family tables and D^(k - (n - m)) for the monic one.  Symbolic
+systems run the DP on their ``Poly`` values, over 1.  The fold is never
+scaled, so the path weights, the enumeration sums and ``monic_formula``
+stay an independent check on the DP.
+
 Boundary behaviour of the monic sum: the strict census of axis-respecting
 paths reproduces L only while k <= m + n + 1.  For larger k the merge
 construction necessarily dips below the axis, so ``path_sum_monic`` sums
@@ -89,12 +105,16 @@ reuses each census's weights for them, to these references.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .paths import _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, enumerate_paths
+from .paths import (
+    _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
+)
 from .scalars import Scalar, scalar_div, scalar_product, scalar_sum
-from .systems import CoefficientSystem, SequenceSpec, _memo, monic_b_lambda
+from .systems import CoefficientSystem, SequenceSpec, _memo, _OutOfRange, monic_b_lambda
 
 
 @dataclass(frozen=True)
@@ -122,16 +142,20 @@ _MISSING = object()
 
 class _Table:
     """One weight system: its rule (coefficients, context, step, x, level)
-    -> factor, the steps it admits, and the context each step leaves."""
+    -> factor, the degree of each coefficient sequence in the grading, the
+    steps it admits, and the context each step leaves."""
 
     def __init__(self, rule: Rule, materialize: Callable[[int], tuple],
-                 steps: Tuple[str, ...], leaves: Dict[str, str], dips: bool = False) -> None:
+                 degrees: Tuple[int, ...], steps: Tuple[str, ...],
+                 leaves: Dict[str, str], dips: bool = False) -> None:
         self.rule = rule
         self.materialize = materialize  # top -> the rule's coefficients
+        self.degrees = degrees  # one per coefficient sequence
         self.steps = steps
         self.leaves = leaves  # step -> the context it leaves; others leave None
         self.dips = dips  # admit D,U excursions from level 0
         self.covered: Tuple[int, tuple] = (-1, ())
+        self.scaled_copy: Tuple[Optional[tuple], Tuple[tuple, int]] = (None, ((), 1))
         self.factors: Dict[tuple, Factor] = {}  # the fold's, by (ctx, step, x, level)
 
     def coefficients(self, top: int) -> tuple:
@@ -140,6 +164,23 @@ class _Table:
         if covered < top:
             covered, coeffs = self.covered = (top, self.materialize(top))
         return coeffs
+
+    def scaled(self, top: int) -> Tuple[tuple, int]:
+        """The numeric coefficients over 0..top (or more) as integers, and
+        their common denominator D: each value times D to its sequence's
+        degree.  A placeholder stays a placeholder.  Kept for as long as
+        the coefficients are current."""
+        coeffs = self.coefficients(top)
+        if self.scaled_copy[0] is not coeffs:
+            den = lcm(*(v.denominator for seq in coeffs for v in seq
+                        if type(v) is not _OutOfRange))
+            scaled = tuple(
+                tuple(v if type(v) is _OutOfRange else v.numerator * scale // v.denominator
+                      for v in seq)
+                for seq, scale in zip(coeffs, (den ** d for d in self.degrees))
+            )
+            self.scaled_copy = (coeffs, (scaled, den))
+        return self.scaled_copy[1]
 
 
 def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
@@ -163,15 +204,24 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     return 1 if total is None else total
 
 
-def _dp(table: _Table, m: int, n: int, k: int, top: int) -> Scalar:
+def _dp(table: _Table, m: int, n: int, k: int, top: int,
+        degree: Optional[int] = None) -> Scalar:
     """Sum of the fold over every path (0, m) -> (k, n) the table admits.
 
     The state is (level, context) per x layer; HH jumps two layers.
     States that cannot reach level n in the remaining length are dropped,
     and a dip below the axis (level -1, only when the table admits dips)
     must climb back at once, as in ``enumerate_paths``.
+
+    With a ``degree`` (numeric coefficients, every admitted path's weight
+    of that degree in the grading) the rule runs on the table's scaled
+    integers and the total is divided once, by D^degree.  Without one it
+    runs on the coefficients themselves (the symbolic domain).
     """
-    coeffs = table.coefficients(top)
+    if degree is None:
+        coeffs, den = table.coefficients(top), 1
+    else:
+        coeffs, den = table.scaled(top)
     rule, leaves = table.rule, table.leaves
     layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(k + 1)]
     if abs(n - m) <= k:
@@ -192,7 +242,11 @@ def _dp(table: _Table, m: int, n: int, k: int, top: int) -> Scalar:
         f = rule(coeffs, ctx, None, k, j)
         value = acc if f is None else acc * f
         total = value if total is None else total + value
-    return 0 if total is None else total
+    if total is None:
+        return 0
+    # paths exist, so |n - m| <= k and the degree is nonnegative
+    scale = den ** degree if degree else 1
+    return total if scale == 1 else Fraction(total, scale)
 
 
 def _cached_table(owner: object, name: str, partner: object, build: Callable[[], _Table]) -> _Table:
@@ -219,7 +273,7 @@ def _monic_rule(c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: in
 
 
 def _monic(materialize: Callable[[int], tuple]) -> _Table:
-    return _Table(_monic_rule, materialize, _PLAIN, {DOWN: DOWN}, dips=True)
+    return _Table(_monic_rule, materialize, (1, 2), _PLAIN, {DOWN: DOWN}, dips=True)
 
 
 def _monic_table(b: SequenceSpec, lam: SequenceSpec) -> _Table:
@@ -379,7 +433,7 @@ def _two_family_table(
     return _cached_table(sys, name, sys_prime, lambda: _Table(
         _MERGED_RULE if merged else _MIXED_RULE,
         lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
-        _GENERALIZED, _TWO_FAMILY_LEAVES,
+        (1,) * 6, _GENERALIZED, _TWO_FAMILY_LEAVES,
     ))
 
 
@@ -555,6 +609,9 @@ def sign_involution(
 
 # -- dynamic-programming evaluation -----------------------------------------
 
+_COUNT = _Table(lambda *edge: None, lambda top: (), (), _PLAIN, {})
+
+
 def dp_sum(
     m: int,
     n: int,
@@ -570,21 +627,25 @@ def dp_sum(
     "mixed", "merged", or "count" (unweighted plain-path census).  Equals
     the corresponding enumeration sum exactly; the state space is
     (position, level, adjacent-step context) because the weights look at
-    neighboring edges.
+    neighboring edges.  Numeric systems are summed in integers over one
+    denominator (see the module docstring).  A negative m, n or k raises
+    ``enumerate_paths``' ValueError.
     """
+    check_instance(m, n, k)
     if weights == "count":
-        count = _Table(lambda *edge: None, lambda top: (), _PLAIN, {})
-        return _dp(count, m, n, k, 0)
+        return _dp(_COUNT, m, n, k, 0)
     if weights == "monic":
         if sys is None:
             raise ValueError("monic dp_sum needs a coefficient system")
         # the largest index the rule reads, and at least max(m, n, k)
         top = max(m, n, k, (m + n + k) // 2 + 1)
         b, lam = monic_b_lambda(sys, top)
-        return _dp(_monic_table(b, lam), m, n, k, top)
+        degree = None if sys.is_symbolic else k - (n - m)
+        return _dp(_monic_table(b, lam), m, n, k, top, degree)
     if weights in ("mixed", "merged"):
         if sys is None or sys_prime is None:
             raise ValueError("two-family dp_sum needs both coefficient systems")
         table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
-        return _dp(table, m, n, k, m + k + 1)
+        degree = None if sys.is_symbolic or sys_prime.is_symbolic else k
+        return _dp(table, m, n, k, m + k + 1, degree)
     raise ValueError(f"unknown weight system {weights!r}")

@@ -322,6 +322,25 @@ def test_records_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+RATIONAL_MONIC = str(SYSTEMS_DIR / "rational_monic.json")
+
+# The path methods print the oracle's table, so monic and mixed agree.
+RATIONAL_DP_DIGESTS = {
+    "table": "6a4872882855fec2f4606f80373f20dc0446130a23a77c811da7523e425a54bb",
+    "records": "051ff1e9b0597642a5f34112c677c8c87b926da167781ab06ea94360a71a2d39",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("method", ["monic", "mixed"])
+def test_path_methods_on_a_rational_system_are_pinned(capsys, method, fmt):
+    # the DP divides by a power of the denominator 60 here
+    code, out = run(capsys, "lincoef", "--m", "12", "--n", "12", "--method", method,
+                    "--system", RATIONAL_MONIC, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_DP_DIGESTS[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["table", "records"])
 def test_verify_keeps_streamed_output_before_an_error(capsys, monkeypatch, fmt):
     import orthopath.cli as cli
