@@ -229,6 +229,9 @@ def _cmd_verify(args: argparse.Namespace) -> Stream:
     _require_nonnegative_max(args)
     sys_ = _load(args)
     prime = _load_prime(args) or sys_
+    if args.method in ("monic", "all"):
+        # a non-monic system is rejected before anything is printed
+        monic_b_lambda(sys_, 2 * args.max + 2)
 
     def records() -> Iterator[dict]:
         if args.method in ("monic", "all"):

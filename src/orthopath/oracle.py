@@ -17,15 +17,16 @@ public functions take and return those.  Internally the walks carry each
 vector in scaled form: a dict of numerators and one positive ``int``
 denominator, with the system's coefficients likewise scaled to integer
 numerators over one denominator per system (fraction-free elimination,
-as in Bareiss 1968).  One recurrence step, :func:`_step`, brings
-``x*v``, ``beta'[j]*v`` and ``gamma'[j-1]*v_prev`` to their common
-denominator in one pass over the vectors, folds the division by
-``alpha'[j+1]`` into the denominator with its sign made positive, and
-then reduces the denominator and every numerator by their gcd, once per
-step.  Every divisor is checked there, before the step is computed, so
-a zero ``alpha'[j+1]`` is an error even where the vector cancels to
-nothing.  ``Fraction`` values are built only for the vectors and moments
-that callers read.
+as in Bareiss 1968), the integer form of ``systems._scaled`` that the
+transfer-matrix DP reads too, each sequence of degree 1.  One recurrence
+step, :func:`_step`, brings ``x*v``, ``beta'[j]*v`` and
+``gamma'[j-1]*v_prev`` to their common denominator in one pass over the
+vectors, folds the division by ``alpha'[j+1]`` into the denominator with
+its sign made positive, and then reduces the denominator and every
+numerator by their gcd, once per step.  Every divisor is checked there,
+before the step is computed, so a zero ``alpha'[j+1]`` is an error even
+where the vector cancels to nothing.  ``Fraction`` values are built only
+for the vectors and moments that callers read.
 
 When either system is symbolic, the numerators are the scalars themselves
 (``Poly`` or ``int``) over denominator 1, and each division by
@@ -49,7 +50,7 @@ from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Tuple
 
 from .scalars import Scalar, format_scalar, scalar_div
-from .systems import CoefficientSystem
+from .systems import CoefficientSystem, _scaled
 
 BasisVector = Dict[int, Scalar]
 
@@ -60,13 +61,9 @@ _ZERO: _Scaled = ({}, 1)
 
 
 class _Coefficients(NamedTuple):
-    """A system's alpha, beta and gamma as numerators over one ``den``.
-
-    Numeric: integer numerators over the lcm of every denominator.
-    Symbolic (``numeric`` False): the materialized scalars over 1.  An
-    index outside a sequence keeps its placeholder, which raises when a
-    step uses it.
-    """
+    """A system's alpha, beta and gamma as numerators over one ``den``:
+    integers when ``numeric``, else the materialized scalars over 1.  A
+    placeholder raises when a step uses it."""
 
     alpha: Tuple[Scalar, ...]
     beta: Tuple[Scalar, ...]
@@ -76,25 +73,12 @@ class _Coefficients(NamedTuple):
 
 
 def _coefficients(sys: CoefficientSystem, top: int, numeric: bool) -> _Coefficients:
-    """sys's coefficients over 0..top (or more); the numeric form is kept
-    on the system for as long as its materialized tuples are current."""
+    """sys's coefficients over 0..top (or more), scaled when ``numeric``."""
     coeffs = sys.materialize(top)
     if not numeric:
         return _Coefficients(*coeffs, 1, False)
-    memo = sys.memo()
-    entry = memo.get("scaled_coefficients")
-    if entry is None or entry[0] is not coeffs:
-        exact = (int, Fraction)
-        den = lcm(*(v.denominator for seq in coeffs for v in seq if isinstance(v, exact)))
-        scaled = (
-            tuple(
-                v.numerator * (den // v.denominator) if isinstance(v, exact) else v
-                for v in seq
-            )
-            for seq in coeffs
-        )
-        entry = memo["scaled_coefficients"] = (coeffs, _Coefficients(*scaled, den, True))
-    return entry[1]
+    scaled, den = _scaled(sys, coeffs, (1, 1, 1))
+    return _Coefficients(*scaled, den, True)
 
 
 def _step(

@@ -26,6 +26,11 @@ list, or below the start of a shifted view) is held as a placeholder
 that raises the same :class:`SequenceRangeError` as ``at`` when it is
 used, so a short sequence fails exactly where direct evaluation did.
 
+The recurrence oracle and the transfer-matrix DP read the materialized
+tuples in one integer form, ``_scaled``, made here next to the placeholder
+it keeps: integer numerators over one common denominator, cached on its
+owner, with a ``Poly`` anywhere leaving the tuples as they are.
+
 JSON wire format for a system file::
 
     {"label": "hermite-like",
@@ -47,6 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterator, NamedTuple, Tuple, Union
 
@@ -118,6 +124,28 @@ def _memo(obj: object) -> dict:
         memo = {}
         object.__setattr__(obj, "_memo", memo)
     return memo
+
+
+def _scaled(owner: object, seqs: tuple, degrees: Tuple[int, ...]) -> Tuple[tuple, int]:
+    """Materialized sequences as integers over one denominator D, the lcm
+    of every denominator: each value becomes its numerator times D to its
+    sequence's degree over its denominator, and a placeholder stays one.
+    If a ``Poly`` appears anywhere, the sequences come back unchanged over
+    D = 1.  Kept on ``owner`` for as long as ``seqs`` is the same object.
+    """
+    memo = _memo(owner)
+    entry = memo.get("scaled")
+    if entry is None or entry[0] is not seqs:
+        values = [v for seq in seqs for v in seq if type(v) is not _OutOfRange]
+        poly = any(isinstance(v, Poly) for v in values)
+        den = 1 if poly else lcm(*(v.denominator for v in values))
+        scaled = seqs if den == 1 else tuple(
+            tuple(v if type(v) is _OutOfRange else v.numerator * scale // v.denominator
+                  for v in seq)
+            for seq, scale in zip(seqs, (den ** d for d in degrees))
+        )
+        entry = memo["scaled"] = (seqs, (scaled, den))
+    return entry[1]
 
 
 def _evaluate(seq: "SequenceSpec", i: int) -> Scalar:

@@ -72,14 +72,15 @@ Every factor is homogeneous in the coefficients when each two-family
 sequence has degree 1, and monic b degree 1 and lam degree 2 (the
 grading of the Jacobi matrix).  A two-family edge then has the degree of
 its x-length, and a monic path (0, m) -> (k, n) has degree
-#H + 2*#D = k - (n - m).  So on a numeric system the DP runs on ``int``.
-Each table keeps a copy of its coefficients scaled over their common
-denominator D: each value times D to its degree, placeholders kept, so a
-short system raises where it did.  The total is divided once, by D^k for
-the two-family tables and D^(k - (n - m)) for the monic one.  Symbolic
-systems run the DP on their ``Poly`` values, over 1.  The fold is never
-scaled, so the path weights, the enumeration sums and ``monic_formula``
-stay an independent check on the DP.
+#H + 2*#D = k - (n - m).  So the DP runs on the integer form of
+``systems._scaled``, which the oracle reads too: over the common
+denominator D, each value times D to its degree, placeholders kept, so a
+short system raises where it did.  The total is divided once, by D^k
+for the two-family tables and D^(k - (n - m)) for the monic one.
+Coefficients holding a ``Poly`` come back over D = 1, so one DP path
+serves both scalar domains.  The fold is never scaled, so the path
+weights, the enumeration sums and ``monic_formula`` stay an independent
+check on the DP.
 
 Boundary behaviour of the monic sum: the strict census of axis-respecting
 paths reproduces L only while k <= m + n + 1.  For larger k the merge
@@ -107,14 +108,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .paths import (
     _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
 )
 from .scalars import Scalar, scalar_div, scalar_product, scalar_sum
-from .systems import CoefficientSystem, SequenceSpec, _memo, _OutOfRange, monic_b_lambda
+from .systems import CoefficientSystem, SequenceSpec, _memo, _scaled, monic_b_lambda
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ class _Table:
         self.leaves = leaves  # step -> the context it leaves; others leave None
         self.dips = dips  # admit D,U excursions from level 0
         self.covered: Tuple[int, tuple] = (-1, ())
-        self.scaled_copy: Tuple[Optional[tuple], Tuple[tuple, int]] = (None, ((), 1))
         self.factors: Dict[tuple, Factor] = {}  # the fold's, by (ctx, step, x, level)
 
     def coefficients(self, top: int) -> tuple:
@@ -164,23 +163,6 @@ class _Table:
         if covered < top:
             covered, coeffs = self.covered = (top, self.materialize(top))
         return coeffs
-
-    def scaled(self, top: int) -> Tuple[tuple, int]:
-        """The numeric coefficients over 0..top (or more) as integers, and
-        their common denominator D: each value times D to its sequence's
-        degree.  A placeholder stays a placeholder.  Kept for as long as
-        the coefficients are current."""
-        coeffs = self.coefficients(top)
-        if self.scaled_copy[0] is not coeffs:
-            den = lcm(*(v.denominator for seq in coeffs for v in seq
-                        if type(v) is not _OutOfRange))
-            scaled = tuple(
-                tuple(v if type(v) is _OutOfRange else v.numerator * scale // v.denominator
-                      for v in seq)
-                for seq, scale in zip(coeffs, (den ** d for d in self.degrees))
-            )
-            self.scaled_copy = (coeffs, (scaled, den))
-        return self.scaled_copy[1]
 
 
 def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
@@ -204,8 +186,7 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     return 1 if total is None else total
 
 
-def _dp(table: _Table, m: int, n: int, k: int, top: int,
-        degree: Optional[int] = None) -> Scalar:
+def _dp(table: _Table, m: int, n: int, k: int, top: int, degree: int) -> Scalar:
     """Sum of the fold over every path (0, m) -> (k, n) the table admits.
 
     The state is (level, context) per x layer; HH jumps two layers.
@@ -213,15 +194,12 @@ def _dp(table: _Table, m: int, n: int, k: int, top: int,
     and a dip below the axis (level -1, only when the table admits dips)
     must climb back at once, as in ``enumerate_paths``.
 
-    With a ``degree`` (numeric coefficients, every admitted path's weight
-    of that degree in the grading) the rule runs on the table's scaled
-    integers and the total is divided once, by D^degree.  Without one it
-    runs on the coefficients themselves (the symbolic domain).
+    Every admitted path's weight has ``degree`` in the grading.  The rule
+    runs on the coefficients as ``systems._scaled`` gives them, integers
+    over one denominator D (over 1 when a ``Poly`` appears), and the total
+    is divided once, by D^degree.
     """
-    if degree is None:
-        coeffs, den = table.coefficients(top), 1
-    else:
-        coeffs, den = table.scaled(top)
+    coeffs, den = _scaled(table, table.coefficients(top), table.degrees)
     rule, leaves = table.rule, table.leaves
     layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(k + 1)]
     if abs(n - m) <= k:
@@ -245,7 +223,7 @@ def _dp(table: _Table, m: int, n: int, k: int, top: int,
     if total is None:
         return 0
     # paths exist, so |n - m| <= k and the degree is nonnegative
-    scale = den ** degree if degree else 1
+    scale = den ** degree
     return total if scale == 1 else Fraction(total, scale)
 
 
@@ -627,25 +605,24 @@ def dp_sum(
     "mixed", "merged", or "count" (unweighted plain-path census).  Equals
     the corresponding enumeration sum exactly; the state space is
     (position, level, adjacent-step context) because the weights look at
-    neighboring edges.  Numeric systems are summed in integers over one
-    denominator (see the module docstring).  A negative m, n or k raises
+    neighboring edges.  The coefficients are read as integers over one
+    denominator, polynomials over 1, whatever the systems' domain (see
+    the module docstring).  A negative m, n or k raises
     ``enumerate_paths``' ValueError.
     """
     check_instance(m, n, k)
     if weights == "count":
-        return _dp(_COUNT, m, n, k, 0)
+        return _dp(_COUNT, m, n, k, 0, 0)
     if weights == "monic":
         if sys is None:
             raise ValueError("monic dp_sum needs a coefficient system")
         # the largest index the rule reads, and at least max(m, n, k)
         top = max(m, n, k, (m + n + k) // 2 + 1)
         b, lam = monic_b_lambda(sys, top)
-        degree = None if sys.is_symbolic else k - (n - m)
-        return _dp(_monic_table(b, lam), m, n, k, top, degree)
+        return _dp(_monic_table(b, lam), m, n, k, top, k - (n - m))
     if weights in ("mixed", "merged"):
         if sys is None or sys_prime is None:
             raise ValueError("two-family dp_sum needs both coefficient systems")
         table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
-        degree = None if sys.is_symbolic or sys_prime.is_symbolic else k
-        return _dp(table, m, n, k, m + k + 1, degree)
+        return _dp(table, m, n, k, m + k + 1, k)
     raise ValueError(f"unknown weight system {weights!r}")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from orthopath.cli import main
 from conftest import SYSTEMS_DIR
 
@@ -111,6 +113,16 @@ def test_verify_monic_rejects_nonmonic_system(capsys):
     )
     assert code == 2
     assert "monic" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("method", ["monic", "all"])
+def test_verify_rejects_a_nonmonic_system_before_printing(capsys, method, fmt):
+    code, out, err = run(capsys, "verify", "--max", "3", "--method", method,
+                         "--system", MONOTONE, "--system-prime", MONOTONE_PRIME,
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: system 'monotone' is not monic up to index 8\n"
 
 
 def test_positivity_single_instance(capsys):

@@ -341,6 +341,21 @@ def test_path_methods_on_a_rational_system_are_pinned(capsys, method, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_DP_DIGESTS[fmt]
 
 
+# The monic verify reaches the symbolic DP, which no other pinned command does.
+SYMBOLIC_VERIFY_DIGESTS = {
+    "table": "3a757eee00a8f34ec5b5637b507cb3a4449694da5dc54587ef7c2d7643d19844",
+    "records": "543732e8292352a7f1b29de3f26b29cb6ee407c77cb4b4aa122a84d6d045ca49",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_symbolic_monic_verify_is_pinned(capsys, fmt):
+    code, out = run(capsys, "verify", "--max", "2", "--method", "monic",
+                    "--system", SYMBOLIC, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_VERIFY_DIGESTS[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["table", "records"])
 def test_verify_keeps_streamed_output_before_an_error(capsys, monkeypatch, fmt):
     import orthopath.cli as cli

@@ -21,6 +21,7 @@ from orthopath import (
     monic_system,
     system_from_json,
 )
+from orthopath.systems import _OutOfRange, _scaled
 from conftest import random_system
 
 
@@ -252,3 +253,51 @@ def test_norms_positive_under_positive_definite_flag():
         assert sys.positive_definite(10)
         for k in range(11):
             assert scalar_sign(sys.norm_squared(k)) > 0
+
+
+# -- the integer form of materialized coefficients ---------------------------
+
+ENTRIES = st.one_of(
+    st.fractions(max_denominator=40).map(lambda v: v.numerator if v.denominator == 1 else v),
+    st.text(max_size=8).map(_OutOfRange),
+)
+SEQUENCES = st.lists(st.tuples(st.lists(ENTRIES, max_size=6).map(tuple), st.integers(1, 3)),
+                     max_size=4)
+
+
+class Owner:
+    """Anything with a ``__dict__`` can keep the scaled form."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEQUENCES)
+def test_scaled_values_are_value_times_d_to_the_degree(pairs):
+    seqs = tuple(seq for seq, _ in pairs)
+    degrees = tuple(d for _, d in pairs)
+    owner = Owner()
+    scaled, den = _scaled(owner, seqs, degrees)
+    assert den >= 1
+    assert [len(s) for s in scaled] == [len(s) for s in seqs]
+    for seq, out, d in zip(seqs, scaled, degrees):
+        for v, w in zip(seq, out):
+            if type(v) is _OutOfRange:
+                assert type(w) is _OutOfRange and w.message == v.message
+            else:
+                assert type(w) is int and w == v * den ** d
+    numbers = [v for seq in seqs for v in seq if type(v) is not _OutOfRange]
+    if all(type(v) is int for v in numbers):
+        assert den == 1
+    # kept on the owner for as long as the sequences are the same object
+    assert _scaled(owner, seqs, degrees)[0] is scaled
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEQUENCES, st.integers(0, 3), st.integers(0, 6))
+def test_any_poly_leaves_the_sequences_unchanged_over_one(pairs, where, index):
+    seqs = [list(seq) for seq, _ in pairs] or [[]]
+    seq = seqs[where % len(seqs)]
+    seq.insert(index % (len(seq) + 1), indet("b", index))
+    seqs = tuple(tuple(seq) for seq in seqs)
+    degrees = tuple(1 for _ in seqs)
+    got, den = _scaled(Owner(), seqs, degrees)
+    assert got is seqs and den == 1
