@@ -25,14 +25,17 @@ Output is deterministic byte-for-byte for identical inputs.  Exit status:
 its hypothesis report) was found, 2 for invalid input or configuration:
 ``main`` prints ``error: ...`` on stderr, after whatever was streamed, for
 a ``ValueError``, ``OSError``, ``SequenceRangeError`` or
-``DomainMismatchError``.
+``DomainMismatchError``.  A stdout closed by its reader stops the command
+with status 141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import os
 import sys
 from typing import Generator, Iterable, Iterator, List, Optional, Sequence
 
@@ -46,7 +49,7 @@ from .positivity import (
     certify_monic,
     required_window,
 )
-from .scalars import DomainMismatchError, format_scalar, scalar_div, scalar_sum
+from .scalars import DomainMismatchError, format_scalar, scalar_div
 from .systems import (
     CoefficientSystem,
     SequenceRangeError,
@@ -57,10 +60,12 @@ from .systems import (
 )
 from .weights import (
     dp_sum,
+    dp_walk,
+    mixed_census,
     mixed_prefactor,
+    monic_census,
     monic_formula,
     monic_prefactor,
-    path_sum_mixed,
     path_sum_monic,
     path_weight_merged,
     path_weight_mixed,
@@ -70,6 +75,10 @@ from .weights import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
+# The reader closed stdout (``... | head``): the status of a process that
+# SIGPIPE ends, 128 + 13, so the stopped run reads as neither success nor
+# a mismatch nor bad input.
+EXIT_CLOSED_STDOUT = 141
 
 Stream = Generator[dict, None, int]
 
@@ -164,12 +173,13 @@ def _connect_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator
 
 # -- verify ----------------------------------------------------------------
 
-# Each instance enumerates and weighs its census once.  The informational
-# routes reuse those weights: the strict census is the subset of the
-# boundary-dip census that stays on the axis, and the k-indexed prefactor
-# multiplies the same weight sum.  The binding routes stay independent:
-# the DP reads no enumeration result, the oracle reads neither, and one
-# oracle expansion serves every target k (or n) of its product.
+# Each (m, n) walks its path census once and its DP once, and reads both
+# at every length k.  The informational routes reuse the census: the
+# strict census is the subset of the boundary-dip census that stays on
+# the axis, and the k-indexed prefactor multiplies the same weight sum.
+# The binding routes stay independent: the DP reads no census result, the
+# oracle reads neither, and one oracle expansion serves every target k (or
+# n) of its product.
 
 def _instance_records(method: str, m: int, n: int, k: int, want, routes) -> List[dict]:
     """The oracle record of one instance, then one per (route, value)."""
@@ -185,16 +195,16 @@ def _verify_monic_records(sys_: CoefficientSystem, top: int) -> Iterator[dict]:
     for m in range(top + 1):
         for n in range(top + 1):
             table = oracle.expand_product(m, n, sys_)
+            census = monic_census(m, n, top, b, lam)
+            dp = dp_walk(m, n, top, "monic", sys_)
+            prefactor = monic_prefactor(n, lam)
             for k in range(top + 1):
                 # triple_product_value(m, n, k)
                 want = table.coefficient(k) * sys_.norm_squared(k)
-                res = path_sum_monic(m, n, k, b, lam)
-                dp = res.prefactor * dp_sum(m, n, k, "monic", sys_)
-                strict = res.prefactor * scalar_sum(
-                    w for path, w in res.per_path.items() if path.is_standard()
-                )
+                weight_sum, strict = census(k)
                 yield from _instance_records("monic", m, n, k, want, (
-                    ("enumeration", res.total), ("dp", dp), ("strict-paths", strict),
+                    ("enumeration", prefactor * weight_sum), ("dp", prefactor * dp(k)),
+                    ("strict-paths", prefactor * strict),
                 ))
 
 
@@ -202,20 +212,22 @@ def _verify_mixed_records(
     sys_: CoefficientSystem, prime: CoefficientSystem, top: int
 ) -> Iterator[dict]:
     for m in range(top + 1):
-        tables = {}
+        # by target k, each computed where the first instance needs it
+        table = functools.cache(lambda k: oracle.mixed_expand(m, k, sys_, prime))
+        prefactor = functools.cache(lambda k: mixed_prefactor(m, k, sys_, prime))
+        k_indexed = functools.cache(
+            lambda k: mixed_prefactor(m, k, sys_, prime, k_indexed_prefactor=True))
         for n in range(top + 1):
+            census = mixed_census(m, n, top, sys_, prime)
+            dp = dp_walk(m, n, top, "mixed", sys_, prime)
             for k in range(top + 1):
-                if k not in tables:
-                    tables[k] = oracle.mixed_expand(m, k, sys_, prime)
                 # mixed_product_value(m, n, k)
-                want = tables[k].coefficient(n) * sys_.norm_squared(n)
-                res = path_sum_mixed(m, n, k, sys_, prime)
-                dp = res.prefactor * dp_sum(m, n, k, "mixed", sys_, prime)
-                alt = mixed_prefactor(
-                    m, k, sys_, prime, k_indexed_prefactor=True
-                ) * res.weight_sum
+                want = table(k).coefficient(n) * sys_.norm_squared(n)
+                weight_sum = census(k)
                 yield from _instance_records("mixed", m, n, k, want, (
-                    ("enumeration", res.total), ("dp", dp), ("k-indexed-prefactor", alt),
+                    ("enumeration", prefactor(k) * weight_sum),
+                    ("dp", prefactor(k) * dp(k)),
+                    ("k-indexed-prefactor", k_indexed(k) * weight_sum),
                 ))
 
 
@@ -501,6 +513,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the flush at interpreter
+    exit writes what is still buffered there instead of failing on the
+    closed pipe again (the recipe in Python's ``signal`` docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # stdout is not a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -517,7 +544,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines = args.view(args, records())
         for line in lines:
             print(line)
+        # a pipe closed by its reader shows here, not at interpreter exit
+        sys.stdout.flush()
         return status[0] or EXIT_OK
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_CLOSED_STDOUT
     except (ValueError, OSError, SequenceRangeError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

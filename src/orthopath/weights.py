@@ -65,6 +65,27 @@ the per-path fold computes each factor once per (context, step, x,
 level).  The DP meets each factor once per call and reads the rule
 directly, so a long DP leaves no factors behind.
 
+One walk for every length
+-------------------------
+
+``orthopath verify`` needs every (m, n, k) up to a top T, so it walks
+once per (m, n) and reads the walk at each k <= T.  The census walk
+(``monic_census``, ``mixed_census``) is one depth-first walk over path
+prefixes from (0, m), pruned to those that can still end at level n by
+length T.  Each prefix carries its running product through the fold's
+factor memo, so every path (0, m) -> (k, n) is met once, in
+``enumerate_paths``' order, and weighed exactly as ``_fold`` weighs it;
+paths are never merged by state.  The monic walk also keeps the sum over
+the paths that never dip.  The DP (``_dp``) keeps its total at every
+length <= T; ``dp_walk`` divides only the lengths it is asked for, and
+``dp_sum`` is the walk to T = k read at k.
+
+A walk reads coefficients further ahead than a single instance does.
+So an error a walk meets (an index past a short sequence, or symbolic
+and non-integer scalars meeting) is kept for each length it reaches and
+raised only when one of those is read: at the same lengths, with the
+same message, as a walk per length.
+
 Fraction-free DP
 ----------------
 
@@ -75,8 +96,8 @@ its x-length, and a monic path (0, m) -> (k, n) has degree
 #H + 2*#D = k - (n - m).  So the DP runs on the integer form of
 ``systems._scaled``, which the oracle reads too: over the common
 denominator D, each value times D to its degree, placeholders kept, so a
-short system raises where it did.  The total is divided once, by D^k
-for the two-family tables and D^(k - (n - m)) for the monic one.
+short system raises where it did.  A length-k total is divided once, by
+D^k for the two-family tables and D^(k - (n - m)) for the monic one.
 Coefficients holding a ``Poly`` come back over D = 1, so one DP path
 serves both scalar domains.  The fold is never scaled, so the path
 weights, the enumeration sums and ``monic_formula`` stay an independent
@@ -97,10 +118,11 @@ with the gamma range tied to the start level m, the reading validated by
 the oracle (``k_indexed_prefactor=True`` computes the alternative with
 the gamma range tied to k, which already fails at (m,n,k) = (0,1,1)).
 
+``enumerate_paths``, ``path_weight_*``, ``path_sum_*``,
 ``strict_monic_weight_sum`` and ``path_sum_mixed(...,
-k_indexed_prefactor=True)`` compute the informational routes of
-``orthopath verify`` from scratch; the tests hold that command, which
-reuses each census's weights for them, to these references.
+k_indexed_prefactor=True)`` compute each instance from scratch, path by
+path; the tests hold the walks, and ``orthopath verify``, which reads
+them, to these references.
 """
 
 from __future__ import annotations
@@ -113,8 +135,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .paths import (
     _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
 )
-from .scalars import Scalar, scalar_div, scalar_product, scalar_sum
-from .systems import CoefficientSystem, SequenceSpec, _memo, _scaled, monic_b_lambda
+from .scalars import DomainMismatchError, Scalar, scalar_div, scalar_product, scalar_sum
+from .systems import (
+    CoefficientSystem, SequenceRangeError, SequenceSpec, _memo, _scaled, monic_b_lambda,
+)
 
 
 @dataclass(frozen=True)
@@ -186,45 +210,142 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     return 1 if total is None else total
 
 
-def _dp(table: _Table, m: int, n: int, k: int, top: int, degree: int) -> Scalar:
-    """Sum of the fold over every path (0, m) -> (k, n) the table admits.
+# Errors a walk keeps for the lengths they reach: a coefficient index
+# outside its sequence, or symbolic and non-integer scalars meeting.
+_DEFERRED = (SequenceRangeError, DomainMismatchError)
+
+
+class _Lengths:
+    """One walk's results at every length k = 0..top.  An error met on the
+    way is kept for each length it reaches and raised when one of those is
+    read, so a walk over all lengths fails where a walk per length did."""
+
+    def __init__(self, values: list) -> None:
+        self.values = values
+        self.errors: Dict[int, Exception] = {}
+
+    def fail(self, exc: Exception, first: int, last: Optional[int] = None) -> None:
+        """Keep ``exc`` for the lengths first..last (default: to the top)."""
+        last = len(self.values) - 1 if last is None else last
+        for k in range(first, last + 1):
+            self.errors.setdefault(k, exc)
+
+    def __getitem__(self, k: int):
+        exc = self.errors.get(k)
+        if exc is not None:
+            raise exc
+        return self.values[k]
+
+
+def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
+    """The sums of the fold over every path (0, m) -> (k, n) the table
+    admits, for every k <= top: [weight sum, strict sum] at each length,
+    where the strict sum is over the paths that never dip, kept for a table
+    that admits dips (0 otherwise).
+
+    One depth-first walk over path prefixes, pruned to those that can still
+    end at level n within length top.  Each prefix carries its running
+    product of factors, read through the fold's memo, so each path's weight
+    is the product ``_fold`` gives it, every path is its own term, and the
+    terms are added in ``enumerate_paths``' order.  A prefix whose factor
+    raises is not extended; its error is kept for the lengths it could
+    reach.  A sum that raises (a fold can return a placeholder) is kept
+    behind any fold error of its length, since ``path_sum_*`` folds every
+    path before it sums.
+    """
+    coeffs = table.coefficients(bound)
+    rule, memo, dips = table.rule, table.factors, table.dips
+    moves = [(step, _DX[step], _DY[step], table.leaves.get(step)) for step in table.steps]
+    climb = [(UP, 1, 1, table.leaves.get(UP))]  # out of a dip
+    found = _Lengths([[0, 0] for _ in range(top + 1)])
+    late: Dict[int, Exception] = {}
+
+    def visit(x: int, j: int, ctx: Optional[str], total: Factor, strict: bool) -> None:
+        if j == n:
+            key = (ctx, None, x, j)
+            try:
+                f = memo.get(key, _MISSING)
+                if f is _MISSING:
+                    f = memo[key] = rule(coeffs, ctx, None, x, j)
+                weight = total if f is None else f if total is None else total * f
+            except _DEFERRED as exc:
+                found.fail(exc, x, x)
+            else:
+                sums = found.values[x]
+                weight = 1 if weight is None else weight
+                try:
+                    sums[0] += weight
+                    if strict:
+                        sums[1] += weight
+                except _DEFERRED as exc:
+                    late.setdefault(x, exc)
+        for step, dx, dy, after in moves if j >= 0 else climb:
+            nx, nj = x + dx, j + dy
+            if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
+                continue
+            key = (ctx, step, x, j)
+            try:
+                f = memo.get(key, _MISSING)
+                if f is _MISSING:
+                    f = memo[key] = rule(coeffs, ctx, step, x, j)
+                value = total if f is None else f if total is None else total * f
+            except _DEFERRED as exc:
+                found.fail(exc, nx + abs(n - nj))
+            else:
+                visit(nx, nj, after, value, strict and nj >= 0)
+
+    if abs(n - m) <= top:
+        visit(0, m, None, None, dips)
+    for k, exc in late.items():
+        found.fail(exc, k, k)
+    return found
+
+
+def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[_Lengths, int]:
+    """Sum of the fold over every path (0, m) -> (k, n) the table admits,
+    for every k <= top, in the integer form: (totals by length, D).
 
     The state is (level, context) per x layer; HH jumps two layers.
-    States that cannot reach level n in the remaining length are dropped,
-    and a dip below the axis (level -1, only when the table admits dips)
-    must climb back at once, as in ``enumerate_paths``.
+    States that cannot reach level n within length top are dropped, and a
+    dip below the axis (level -1, only when the table admits dips) must
+    climb back at once, as in ``enumerate_paths``.  Layer k's states at
+    level n, closed, give length k's total.
 
-    Every admitted path's weight has ``degree`` in the grading.  The rule
-    runs on the coefficients as ``systems._scaled`` gives them, integers
-    over one denominator D (over 1 when a ``Poly`` appears), and the total
-    is divided once, by D^degree.
+    The rule runs on the coefficients over indices 0..bound as
+    ``systems._scaled`` gives them, integers over one denominator D (over 1
+    when a ``Poly`` appears).  A path of length k has one degree in the
+    grading, so the caller divides length k's total by D to it; a total is
+    None where no path exists.
     """
-    coeffs, den = _scaled(table, table.coefficients(top), table.degrees)
-    rule, leaves = table.rule, table.leaves
-    layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(k + 1)]
-    if abs(n - m) <= k:
+    coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
+    rule, leaves, steps, dips = table.rule, table.leaves, table.steps, table.dips
+    layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(top + 1)]
+    totals = _Lengths([None] * (top + 1))
+    if abs(n - m) <= top:
         layers[0][(m, None)] = 1
-    for x in range(k):
+    for x in range(top + 1):
         for (j, ctx), acc in layers[x].items():
-            for step in table.steps if j >= 0 else (UP,):
+            if j == n:
+                try:
+                    f = rule(coeffs, ctx, None, x, j)
+                    value = acc if f is None else acc * f
+                    prev = totals.values[x]
+                    totals.values[x] = value if prev is None else prev + value
+                except _DEFERRED as exc:
+                    totals.fail(exc, x, x)
+            for step in steps if j >= 0 else (UP,):
                 nx, nj = x + _DX[step], j + _DY[step]
-                if nx > k or abs(n - nj) > k - nx or (nj < 0 and not table.dips):
+                if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
                     continue
-                f = rule(coeffs, ctx, step, x, j)
-                value = acc if f is None else acc * f
-                layer, key = layers[nx], (nj, leaves.get(step))
-                prev = layer.get(key)
-                layer[key] = value if prev is None else prev + value
-    total: Factor = None
-    for (j, ctx), acc in layers[k].items():  # pruning leaves level n only
-        f = rule(coeffs, ctx, None, k, j)
-        value = acc if f is None else acc * f
-        total = value if total is None else total + value
-    if total is None:
-        return 0
-    # paths exist, so |n - m| <= k and the degree is nonnegative
-    scale = den ** degree
-    return total if scale == 1 else Fraction(total, scale)
+                try:
+                    f = rule(coeffs, ctx, step, x, j)
+                    value = acc if f is None else acc * f
+                    layer, key = layers[nx], (nj, leaves.get(step))
+                    prev = layer.get(key)
+                    layer[key] = value if prev is None else prev + value
+                except _DEFERRED as exc:
+                    totals.fail(exc, nx + abs(n - nj))
+    return totals, den
 
 
 def _cached_table(owner: object, name: str, partner: object, build: Callable[[], _Table]) -> _Table:
@@ -590,6 +711,71 @@ def sign_involution(
 _COUNT = _Table(lambda *edge: None, lambda top: (), (), _PLAIN, {})
 
 
+def _monic_bound(m: int, n: int, top: int) -> int:
+    """The largest index the monic rule reads on paths (0, m) -> (k, n),
+    k <= top, and at least max(m, n, top)."""
+    return max(m, n, top, (m + n + top) // 2 + 1)
+
+
+def monic_census(
+    m: int, n: int, top: int, b: SequenceSpec, lam: SequenceSpec
+) -> Callable[[int], Tuple[Scalar, Scalar]]:
+    """k -> (``path_sum_monic(m, n, k, b, lam).weight_sum``,
+    ``strict_monic_weight_sum(m, n, k, b, lam)``) for every k <= top, from
+    one walk over the boundary-dip census (see ``_census``)."""
+    check_instance(m, n, top)
+    found = _census(_monic_table(b, lam), m, n, top, _monic_bound(m, n, top))
+    return lambda k: tuple(found[k])
+
+
+def mixed_census(
+    m: int, n: int, top: int, sys: CoefficientSystem, sys_prime: CoefficientSystem
+) -> Callable[[int], Scalar]:
+    """k -> ``path_sum_mixed(m, n, k, sys, sys_prime).weight_sum`` for every
+    k <= top, from one walk (see ``_census``)."""
+    check_instance(m, n, top)
+    found = _census(_two_family_table(sys, sys_prime), m, n, top, m + top + 1)
+    return lambda k: found[k][0]
+
+
+def dp_walk(
+    m: int,
+    n: int,
+    top: int,
+    weights: str,
+    sys: Optional[CoefficientSystem] = None,
+    sys_prime: Optional[CoefficientSystem] = None,
+) -> Callable[[int], Scalar]:
+    """k -> ``dp_sum(m, n, k, weights, sys, sys_prime)`` for every k <= top,
+    from one transfer-matrix walk; only the lengths read are divided."""
+    check_instance(m, n, top)
+    if weights == "count":
+        table, bound, shift = _COUNT, 0, 0
+    elif weights == "monic":
+        if sys is None:
+            raise ValueError("monic dp_sum needs a coefficient system")
+        bound = _monic_bound(m, n, top)
+        table, shift = _monic_table(*monic_b_lambda(sys, bound)), n - m
+    elif weights in ("mixed", "merged"):
+        if sys is None or sys_prime is None:
+            raise ValueError("two-family dp_sum needs both coefficient systems")
+        table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
+        bound, shift = m + top + 1, 0
+    else:
+        raise ValueError(f"unknown weight system {weights!r}")
+    totals, den = _dp(table, m, n, top, bound)
+
+    def total(k: int) -> Scalar:
+        value = totals[k]
+        if value is None:
+            return 0
+        # paths exist, so |n - m| <= k and the degree k - shift is nonnegative
+        scale = den ** (k - shift)
+        return value if scale == 1 else Fraction(value, scale)
+
+    return total
+
+
 def dp_sum(
     m: int,
     n: int,
@@ -610,19 +796,4 @@ def dp_sum(
     the module docstring).  A negative m, n or k raises
     ``enumerate_paths``' ValueError.
     """
-    check_instance(m, n, k)
-    if weights == "count":
-        return _dp(_COUNT, m, n, k, 0, 0)
-    if weights == "monic":
-        if sys is None:
-            raise ValueError("monic dp_sum needs a coefficient system")
-        # the largest index the rule reads, and at least max(m, n, k)
-        top = max(m, n, k, (m + n + k) // 2 + 1)
-        b, lam = monic_b_lambda(sys, top)
-        return _dp(_monic_table(b, lam), m, n, k, top, k - (n - m))
-    if weights in ("mixed", "merged"):
-        if sys is None or sys_prime is None:
-            raise ValueError("two-family dp_sum needs both coefficient systems")
-        table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
-        return _dp(table, m, n, k, m + k + 1, k)
-    raise ValueError(f"unknown weight system {weights!r}")
+    return dp_walk(m, n, k, weights, sys, sys_prime)(k)

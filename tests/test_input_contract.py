@@ -3,6 +3,9 @@ on bad input, never a traceback, and no vacuous success."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -457,3 +460,50 @@ def test_lincoef_oracle_reads_a_zero_norm_unchanged(capsys, tmp_path):
     assert [(r["k"], r["coefficient"], r["l_value"]) for r in rows] == [
         (0, "1", "1"), (1, "0", "0"), (2, "1", "0"),
     ]
+
+
+# A reader that stops early (``| head``) closes stdout.  That is neither bad
+# input nor a mismatch: the command stops with 141, the status of a process
+# ended by SIGPIPE, and prints nothing to stderr.
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone after ``accepted`` lines."""
+
+    def __init__(self, accepted):
+        super().__init__()
+        self.accepted = accepted
+
+    def write(self, text):
+        if self.getvalue().count("\n") >= self.accepted:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("accepted", [0, 3])
+def test_a_closed_stdout_stops_quietly(monkeypatch, capsys, fmt, accepted):
+    pipe = ClosedPipe(accepted)
+    monkeypatch.setattr("sys.stdout", pipe)
+    code = main(["verify", "--max", "2", "--system", MONOTONE_MONIC, "--format", fmt])
+    assert code == 141
+    assert pipe.getvalue().count("\n") == accepted
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_exits_141_with_an_empty_stderr():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    # far more than a pipe buffer holds, so the writer meets the closed pipe
+    argv = ["verify", "--max", "6", "--system", MONOTONE_MONIC,
+            "--system-prime", str(SYSTEMS_DIR / "monotone_prime.json")]
+    proc = subprocess.Popen([sys.executable, "-m", "orthopath", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"instance ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    # no error line, and no "Exception ignored" from the flush at exit
+    assert err == b""

@@ -1,15 +1,16 @@
 """``verify`` computes each quantity once, and its output does not move.
 
-The informational routes reuse the enumeration's per-path weights; these
+The informational routes reuse the census walk's weight sums; these
 tests hold them to the independent public functions that still compute
-them from scratch.  Work counters pin that each instance enumerates once,
-that one oracle expansion serves every target of a product, that each
-coefficient is evaluated once per sequence, and that the moment chain is
-walked once.  The sha256 pins hold ``verify`` and ``positivity`` output,
-the oracle-only ``lincoef``, ``connect`` and ``moments`` output, and each
-command's table and records renderings to fixed bytes, so later
-performance or renderer work cannot change them; a streamed ``verify``
-keeps what it printed before an error.
+them from scratch.  Work counters pin that each (method, m, n) walks its
+census and its DP once, that one oracle expansion serves every target of
+a product, that each coefficient is evaluated once per sequence, and that
+the moment chain is walked once.  The sha256 pins hold ``verify`` and
+``positivity`` output, the oracle-only ``lincoef``, ``connect`` and
+``moments`` output, and each command's table and records renderings to
+fixed bytes, so later performance or renderer work cannot change them; a
+streamed ``verify`` keeps what it printed before an error, and stops on a
+short system at the record where it always did.
 """
 
 import hashlib
@@ -164,11 +165,15 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_each_verify_instance_enumerates_once(capsys, monkeypatch):
-    calls = counting(monkeypatch, weights_mod, "enumerate_paths")
+def test_verify_walks_each_census_and_dp_once_per_m_n(capsys, monkeypatch):
+    enumerations = counting(monkeypatch, weights_mod, "enumerate_paths")
+    censuses = counting(monkeypatch, weights_mod, "_census")
+    dps = counting(monkeypatch, weights_mod, "_dp")
     verify_records(capsys, 2)
-    # one census per (method, m, n, k)
-    assert len(calls) == 2 * 3 ** 3
+    assert enumerations == []
+    # one walk of each per (method, m, n), read at every length k
+    assert len(censuses) == 2 * 3 ** 2
+    assert len(dps) == 2 * 3 ** 2
 
 
 def test_one_oracle_expansion_serves_every_target(capsys, monkeypatch):
@@ -464,3 +469,56 @@ def test_positivity_nonpositive_entry_bytes_are_pinned(capsys, tmp_path, case, f
     code, out = run(capsys, "positivity", "--max", "1", *systems, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == NONPOSITIVE_DIGESTS[case, fmt]
+
+
+# Taken before verify read one walk per (m, n) at every length: a rational
+# system with a DP denominator against a non-monic second family.
+RATIONAL_VERIFY_DIGESTS = {
+    "table": "5c1958c2e19498b0e09bbcc0fdec28c4101eb4f27208c158d5d57eaf3b74b1c3",
+    "records": "9675d44f50f4f222298cdb6de8601c34ffa3500b8b42927b272e622f7ed11f0a",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_rational_verify_is_pinned(capsys, fmt):
+    code, out = run(capsys, "verify", "--max", "6", "--method", "all",
+                    "--system", RATIONAL_MONIC, "--system-prime", MONOTONE_PRIME,
+                    "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_VERIFY_DIGESTS[fmt]
+
+
+def short_system(length):
+    """alpha = 1..L, beta = 0..L-1, gamma = 2..L+1: explicit lists of length L."""
+    return {name: _explicit(*map(str, range(lo, lo + length)))
+            for name, lo in (("alpha", 1), ("beta", 0), ("gamma", 2))}
+
+
+# verify --max 6 --method mixed on short explicit systems: how many records
+# stream before the first instance that reads past the end, and their bytes.
+# The census reads further ahead than one instance, so it must fail no earlier.
+SHORT_VERIFY = {
+    # (length, role): the short system as both --system and --system-prime,
+    # or as --system-prime with monotone.json
+    (9, "both"): (612, "c4d79da37013f79682c3c1f657b5cf7e8c10d2f71c58ec8fa843f848f7a43647"),
+    (10, "both"): (808, "fa8cc9ad4d1965fc5d460fcab1aebdf67ffa17a9f9d776a19ecd002ac11c05d4"),
+    (11, "both"): (1004, "6f3bf71e5a6cc3c56fcf5f660239e2b999eb6348ff89331f768338622167874a"),
+    (12, "both"): (1200, "561b10d8bceeebfad43652f6f8d35c1de09964e71aa378bbd1e0497f312fc272"),
+    (5, "prime"): (20, "0361e76c9384eba01e21e34a5ee77c7326b240ee361614a73ac11931ac933b3c"),
+    (6, "prime"): (24, "952409537e1a20fb2296884b610da26816bfdfed57f217acb62f528254f86a36"),
+}
+
+
+@pytest.mark.parametrize("length, role", sorted(SHORT_VERIFY))
+def test_verify_on_a_short_system_fails_where_it_did(capsys, tmp_path, length, role):
+    path = tmp_path / f"short{length}.json"
+    path.write_text(json.dumps(short_system(length)))
+    main_system = str(path) if role == "both" else MONOTONE
+    code = main(["verify", "--max", "6", "--method", "mixed", "--system", main_system,
+                 "--system-prime", str(path), "--format", "records"])
+    out = capsys.readouterr()
+    records, digest = SHORT_VERIFY[length, role]
+    assert code == 2
+    assert out.err == f"error: index {length} outside explicit sequence of length {length}\n"
+    assert len(out.out.splitlines()) == records
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
