@@ -76,9 +76,9 @@ length T.  Each prefix carries its running product through the fold's
 factor memo, so every path (0, m) -> (k, n) is met once, in
 ``enumerate_paths``' order, and weighed exactly as ``_fold`` weighs it;
 paths are never merged by state.  The monic walk also keeps the sum over
-the paths that never dip.  The DP (``_dp``) keeps its total at every
-length <= T; ``dp_walk`` divides only the lengths it is asked for, and
-``dp_sum`` is the walk to T = k read at k.
+the paths that never dip.  The DP (``_dp``) keeps its states at every
+length <= T; ``dp_walk`` closes and divides only the lengths it is asked
+for, and ``dp_sum`` is the walk to T = k read at k.
 
 A walk reads coefficients further ahead than a single instance does.
 So an error a walk meets (an index past a short sequence, or symbolic
@@ -296,20 +296,23 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
 
     if abs(n - m) <= top:
         visit(0, m, None, None, dips)
+    # visit refers to itself, a cycle that would keep the sums for the
+    # cyclic collector; dropping the name frees them with the walk
+    del visit
     for k, exc in late.items():
         found.fail(exc, k, k)
     return found
 
 
-def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[_Lengths, int]:
+def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[int], Factor], int]:
     """Sum of the fold over every path (0, m) -> (k, n) the table admits,
-    for every k <= top, in the integer form: (totals by length, D).
+    for every k <= top, in the integer form: (k -> length k's total, D).
 
     The state is (level, context) per x layer; HH jumps two layers.
     States that cannot reach level n within length top are dropped, and a
     dip below the axis (level -1, only when the table admits dips) must
     climb back at once, as in ``enumerate_paths``.  Layer k's states at
-    level n, closed, give length k's total.
+    level n, closed when length k is read, give its total.
 
     The rule runs on the coefficients over indices 0..bound as
     ``systems._scaled`` gives them, integers over one denominator D (over 1
@@ -319,20 +322,11 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[_Lengths, 
     """
     coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
     rule, leaves, steps, dips = table.rule, table.leaves, table.steps, table.dips
-    layers: List[Dict[Tuple[int, Optional[str]], Scalar]] = [{} for _ in range(top + 1)]
-    totals = _Lengths([None] * (top + 1))
+    layers = _Lengths([{} for _ in range(top + 1)])
     if abs(n - m) <= top:
-        layers[0][(m, None)] = 1
-    for x in range(top + 1):
-        for (j, ctx), acc in layers[x].items():
-            if j == n:
-                try:
-                    f = rule(coeffs, ctx, None, x, j)
-                    value = acc if f is None else acc * f
-                    prev = totals.values[x]
-                    totals.values[x] = value if prev is None else prev + value
-                except _DEFERRED as exc:
-                    totals.fail(exc, x, x)
+        layers.values[0][(m, None)] = 1
+    for x, layer in enumerate(layers.values):
+        for (j, ctx), acc in layer.items():
             for step in steps if j >= 0 else (UP,):
                 nx, nj = x + _DX[step], j + _DY[step]
                 if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
@@ -340,12 +334,22 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[_Lengths, 
                 try:
                     f = rule(coeffs, ctx, step, x, j)
                     value = acc if f is None else acc * f
-                    layer, key = layers[nx], (nj, leaves.get(step))
-                    prev = layer.get(key)
-                    layer[key] = value if prev is None else prev + value
+                    target, key = layers.values[nx], (nj, leaves.get(step))
+                    prev = target.get(key)
+                    target[key] = value if prev is None else prev + value
                 except _DEFERRED as exc:
-                    totals.fail(exc, nx + abs(n - nj))
-    return totals, den
+                    layers.fail(exc, nx + abs(n - nj))
+
+    def total(k: int) -> Factor:
+        out: Factor = None
+        for (j, ctx), acc in layers[k].items():
+            if j == n:
+                f = rule(coeffs, ctx, None, k, j)
+                value = acc if f is None else acc * f
+                out = value if out is None else out + value
+        return out
+
+    return total, den
 
 
 def _cached_table(owner: object, name: str, partner: object, build: Callable[[], _Table]) -> _Table:
@@ -747,7 +751,8 @@ def dp_walk(
     sys_prime: Optional[CoefficientSystem] = None,
 ) -> Callable[[int], Scalar]:
     """k -> ``dp_sum(m, n, k, weights, sys, sys_prime)`` for every k <= top,
-    from one transfer-matrix walk; only the lengths read are divided."""
+    from one transfer-matrix walk; only the lengths read are closed and
+    divided."""
     check_instance(m, n, top)
     if weights == "count":
         table, bound, shift = _COUNT, 0, 0
@@ -763,17 +768,17 @@ def dp_walk(
         bound, shift = m + top + 1, 0
     else:
         raise ValueError(f"unknown weight system {weights!r}")
-    totals, den = _dp(table, m, n, top, bound)
+    total, den = _dp(table, m, n, top, bound)
 
-    def total(k: int) -> Scalar:
-        value = totals[k]
+    def divided(k: int) -> Scalar:
+        value = total(k)
         if value is None:
             return 0
         # paths exist, so |n - m| <= k and the degree k - shift is nonnegative
         scale = den ** (k - shift)
         return value if scale == 1 else Fraction(value, scale)
 
-    return total
+    return divided
 
 
 def dp_sum(
