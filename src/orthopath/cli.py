@@ -411,6 +411,7 @@ def _paths_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[s
 def _cmd_moments(args: argparse.Namespace) -> List[dict]:
     _require_nonnegative_max(args)
     sys_ = _load(args)
+    oracle.moments(args.max, sys_)  # one walk to the top; each n below reads it
     return [
         {"command": "moments", "n": n, "mu": format_scalar(oracle.moments(n, sys_))}
         for n in range(args.max + 1)

@@ -44,12 +44,11 @@ the multiplication-by-x chain once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Tuple
 
-from .scalars import Scalar, format_scalar, scalar_div
+from .scalars import Record, Scalar, format_scalar, scalar_div
 from .systems import CoefficientSystem, _scaled
 
 BasisVector = Dict[int, Scalar]
@@ -208,8 +207,7 @@ def _product_vectors(
     return vecs
 
 
-@dataclass(frozen=True)
-class LinearizationTable:
+class LinearizationTable(Record):
     """Expansion coefficients of one product, with the matching L-values.
 
     ``entries[target] = (coefficient, L_value)`` where
@@ -217,7 +215,10 @@ class LinearizationTable:
     [|m - n|, m + n] for a same-family product.
     """
 
-    entries: Dict[int, Tuple[Scalar, Scalar]]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Dict[int, Tuple[Scalar, Scalar]]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def coefficient(self, target: int) -> Scalar:
         return self.entries.get(target, (0, 0))[0]

@@ -21,9 +21,10 @@ census of paths that stay at or above the axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Tuple
+
+from .scalars import Record
 
 UP = "U"
 DOWN = "D"
@@ -35,19 +36,37 @@ _DX = {UP: 1, DOWN: 1, ACROSS: 1, ACROSS2: 2}
 _DY = {UP: 1, DOWN: -1, ACROSS: 0, ACROSS2: 0}
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
-    """A lattice path given by its start level and step sequence."""
+class MotzkinPath(Record):
+    """A lattice path given by its start level and step sequence.
 
-    start: int
-    steps: Tuple[str, ...]
+    Paths are made, hashed and compared once per path enumerated, so
+    ``__init__``, ``__eq__`` and ``__hash__`` are written out rather than
+    derived from ``_fields``.  The checks stay a method of their own,
+    ``__post_init__``, which ``bench/tracing.py`` wraps to time them.
+    """
+
+    __slots__ = _fields = ("start", "steps")
+
+    def __init__(self, start: int, steps: Tuple[str, ...]) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Reject a negative start level or an unknown step."""
         if self.start < 0:
             raise ValueError("start level must be nonnegative")
         for s in self.steps:
             if s not in _DX:
                 raise ValueError(f"unknown step {s!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.start == other.start and self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.steps))
 
     @property
     def x_length(self) -> int:
@@ -165,32 +184,32 @@ def enumerate_paths(
     return out
 
 
-@dataclass(frozen=True)
-class Paving:
+class Paving(Record):
     """Disjoint monominos and dominos on {1..k}; uncovered points are isolated.
 
     Blocks are kept as a tuple of tuples sorted by first element; a
     domino's two entries are consecutive.
     """
 
-    ground_size: int
-    blocks: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("ground_size", "blocks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground_size: int, blocks: Tuple[Tuple[int, ...], ...]) -> None:
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             if len(block) not in (1, 2):
                 raise ValueError(f"block {block} is not a monomino or domino")
             if len(block) == 2 and block[1] != block[0] + 1:
                 raise ValueError(f"domino {block} is not consecutive")
             for p in block:
-                if p < 1 or p > self.ground_size:
-                    raise ValueError(f"point {p} outside 1..{self.ground_size}")
+                if p < 1 or p > ground_size:
+                    raise ValueError(f"point {p} outside 1..{ground_size}")
                 if p in seen:
                     raise ValueError(f"point {p} covered twice")
                 seen.add(p)
-        if self.blocks != tuple(sorted(self.blocks)):
+        if blocks != tuple(sorted(blocks)):
             raise ValueError("blocks must be sorted")
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "blocks", blocks)
 
     def isolated(self) -> Tuple[int, ...]:
         covered = {p for block in self.blocks for p in block}

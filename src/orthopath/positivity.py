@@ -30,33 +30,37 @@ informational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple
 
 from .paths import MotzkinPath, enumerate_paths
-from .scalars import Scalar, scalar_sign, scalar_sum
+from .scalars import Record, Scalar, scalar_sign, scalar_sum
 from .systems import CoefficientSystem, SequenceSpec
 from .weights import path_weight_mixed, path_weight_monic
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed inequality: the named rule at indices (i, j) with values."""
 
-    name: str
-    i: int
-    j: int
-    value_i: Scalar
-    value_j: Scalar
+    __slots__ = _fields = ("name", "i", "j", "value_i", "value_j")
+
+    def __init__(self, name: str, i: int, j: int, value_i: Scalar, value_j: Scalar) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "value_i", value_i)
+        object.__setattr__(self, "value_j", value_j)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    rule: str
-    window: int
-    strict: bool
-    holds: bool
-    violations: Tuple[Violation, ...]
+class HypothesisReport(Record):
+    __slots__ = _fields = ("rule", "window", "strict", "holds", "violations")
+
+    def __init__(self, rule: str, window: int, strict: bool, holds: bool,
+                 violations: Tuple[Violation, ...]) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "violations", violations)
 
 
 def required_window(m: int, n: int, k: int) -> int:
@@ -149,8 +153,7 @@ def check_parity_dominance(
     return _scan("parity-dominance", window, strict, positive + zero, pairs)
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(Record):
     """Every path weight of one instance, individually signed.
 
     ``oriented`` is the (m, n, k) actually enumerated after exploiting
@@ -158,9 +161,13 @@ class PositivityCertificate:
     possible; the weights then witness the sign of the coefficient.
     """
 
-    instance: Tuple[int, int, int]
-    oriented: Tuple[int, int, int]
-    rows: Tuple[Tuple[MotzkinPath, Scalar, int], ...]
+    __slots__ = _fields = ("instance", "oriented", "rows")
+
+    def __init__(self, instance: Tuple[int, int, int], oriented: Tuple[int, int, int],
+                 rows: Tuple[Tuple[MotzkinPath, Scalar, int], ...]) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "oriented", oriented)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def all_nonnegative(self) -> bool:

@@ -50,16 +50,16 @@ Rationals are decimal-free strings "p/q".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 from typing import Iterator, NamedTuple, Tuple, Union
 
 from .scalars import (
     FAMILIES,
     DomainMismatchError,
     Poly,
+    Record,
     Scalar,
     UnsupportedDomainError,
     indet,
@@ -156,8 +156,9 @@ def _evaluate(seq: "SequenceSpec", i: int) -> Scalar:
         return _OutOfRange(str(exc))
 
 
-class _Materialized:
-    """``materialize`` for a sequence defined by its ``at``."""
+class _Materialized(Record):
+    """``materialize`` for a sequence defined by its ``at``.  Sequences
+    keep a ``__dict__`` for the cache ``_memo`` makes."""
 
     def materialize(self, top: int) -> Tuple[Scalar, ...]:
         """Entries 0..top (or more) as a tuple, integral values as int.
@@ -182,11 +183,13 @@ class _Materialized:
         return values
 
 
-@dataclass(frozen=True)
 class ExplicitSeq(_Materialized):
     """Fixed-length list of scalars; index i is values[i]."""
 
-    values: Tuple[Scalar, ...]
+    _fields = ("values",)
+
+    def __init__(self, values: Tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "values", values)
 
     def at(self, i: int) -> Scalar:
         if i < 0 or i >= len(self.values):
@@ -196,12 +199,14 @@ class ExplicitSeq(_Materialized):
         return self.values[i]
 
 
-@dataclass(frozen=True)
 class AffineSeq(_Materialized):
     """i -> c0 + c1*i with rational c0, c1."""
 
-    c0: Fraction
-    c1: Fraction
+    _fields = ("c0", "c1")
+
+    def __init__(self, c0: Fraction, c1: Fraction) -> None:
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
 
     def at(self, i: int) -> Scalar:
         if i < 0:
@@ -209,9 +214,11 @@ class AffineSeq(_Materialized):
         return self.c0 + self.c1 * i
 
 
-@dataclass(frozen=True)
 class ConstantSeq(_Materialized):
-    value: Scalar
+    _fields = ("value",)
+
+    def __init__(self, value: Scalar) -> None:
+        object.__setattr__(self, "value", value)
 
     def at(self, i: int) -> Scalar:
         if i < 0:
@@ -219,12 +226,14 @@ class ConstantSeq(_Materialized):
         return self.value
 
 
-@dataclass(frozen=True)
 class SymbolicSeq(_Materialized):
     """i -> the indeterminate family[i + shift]."""
 
-    family: str
-    shift: int = 0
+    _fields = ("family", "shift")
+
+    def __init__(self, family: str, shift: int = 0) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "shift", shift)
 
     def at(self, i: int) -> Scalar:
         if i < 0 or i + self.shift < 0:
@@ -232,12 +241,14 @@ class SymbolicSeq(_Materialized):
         return indet(self.family, i + self.shift)
 
 
-@dataclass(frozen=True)
 class ShiftedSeq(_Materialized):
     """View of another sequence with the index shifted by a fixed offset."""
 
-    base: "SequenceSpec"
-    offset: int
+    _fields = ("base", "offset")
+
+    def __init__(self, base: "SequenceSpec", offset: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offset", offset)
 
     def at(self, i: int) -> Scalar:
         return self.base.at(i + self.offset)
@@ -282,30 +293,32 @@ class Coefficients(NamedTuple):
     gamma: Tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
+class CoefficientSystem(Record):
     """The three coefficient sequences of a three-term recurrence.
 
     Immutable and pure; safe to share across workers.  Derived values
     (materialized coefficients, norms, oracle expansions) are computed
     once and kept in the instance's cache, which no comparison sees.
+    ``is_symbolic``, decided from the sequences, is not a field: no
+    comparison, hash or repr sees it either.
     """
 
-    alpha: SequenceSpec
-    beta: SequenceSpec
-    gamma: SequenceSpec
-    label: str = "system"
-    is_symbolic: bool = field(init=False, repr=False, compare=False)
+    _fields = ("alpha", "beta", "gamma", "label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: SequenceSpec, beta: SequenceSpec, gamma: SequenceSpec,
+                 label: str = "system") -> None:
         # one walk over the defining scalars decides the scalar domain
         symbolic = fractional = False
-        for s in (self.alpha, self.beta, self.gamma):
+        for s in (alpha, beta, gamma):
             for v in _defining_scalars(s):
                 symbolic |= isinstance(v, (Poly, SymbolicSeq))
                 fractional |= isinstance(v, Fraction) and v.denominator != 1
         if symbolic and fractional:
             raise DomainMismatchError("symbolic systems cannot mix in non-integer rationals")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "is_symbolic", symbolic)
 
     def memo(self) -> dict:
@@ -479,9 +492,12 @@ def system_from_json(obj: dict, label: str = "system") -> CoefficientSystem:
     )
 
 
-def load_system(path: str | Path) -> CoefficientSystem:
-    """Load a coefficient system from a JSON file."""
-    path = Path(path)
+def load_system(path: str | os.PathLike) -> CoefficientSystem:
+    """Load a coefficient system from a JSON file.  The label defaults to
+    the file name without its last suffix, by ``pathlib``'s ``stem`` rule
+    (a leading or trailing dot starts no suffix)."""
+    name = os.path.basename(os.fspath(path))
+    dot = name.rfind(".")
     with open(path) as fh:
         obj = json.load(fh)
-    return system_from_json(obj, label=path.stem)
+    return system_from_json(obj, label=name[:dot] if 0 < dot < len(name) - 1 else name)

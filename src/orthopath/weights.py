@@ -127,7 +127,6 @@ them, to these references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Optional, Tuple
@@ -135,20 +134,26 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .paths import (
     _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
 )
-from .scalars import DomainMismatchError, Scalar, scalar_div, scalar_product, scalar_sum
+from .scalars import (
+    DomainMismatchError, Record, Scalar, scalar_div, scalar_product, scalar_sum,
+)
 from .systems import (
-    CoefficientSystem, SequenceRangeError, SequenceSpec, _memo, _scaled, monic_b_lambda,
+    CoefficientSystem, SequenceRangeError, SequenceSpec, _memo, _present, _scaled,
+    monic_b_lambda,
 )
 
 
-@dataclass(frozen=True)
-class PathSumResult:
+class PathSumResult(Record):
     """A weighted path sum: total = prefactor * sum(per_path.values())."""
 
-    total: Scalar
-    prefactor: Scalar
-    weight_sum: Scalar
-    per_path: Dict[MotzkinPath, Scalar]
+    __slots__ = _fields = ("total", "prefactor", "weight_sum", "per_path")
+
+    def __init__(self, total: Scalar, prefactor: Scalar, weight_sum: Scalar,
+                 per_path: Dict[MotzkinPath, Scalar]) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "weight_sum", weight_sum)
+        object.__setattr__(self, "per_path", per_path)
 
 
 # -- weight tables ----------------------------------------------------------
@@ -191,7 +196,9 @@ class _Table:
 
 def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     """Product of the table's factors along the path, closing factor
-    included; each factor is computed once per table."""
+    included; each factor is computed once per table.  A lone factor
+    outside a short sequence raises its range error here, as a product
+    with it would."""
     coeffs = table.coefficients(top)
     rule, leaves, memo = table.rule, table.leaves, table.factors
     total: Factor = None
@@ -207,7 +214,7 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
         if step is not None:
             ctx = leaves.get(step)
             x, j = x + _DX[step], j + _DY[step]
-    return 1 if total is None else total
+    return 1 if total is None else _present(total)
 
 
 # Errors a walk keeps for the lengths they reach: a coefficient index
@@ -249,9 +256,9 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
     is the product ``_fold`` gives it, every path is its own term, and the
     terms are added in ``enumerate_paths``' order.  A prefix whose factor
     raises is not extended; its error is kept for the lengths it could
-    reach.  A sum that raises (a fold can return a placeholder) is kept
-    behind any fold error of its length, since ``path_sum_*`` folds every
-    path before it sums.
+    reach, and so is a path's weight that is a lone placeholder, which
+    ``_fold`` raises.  A sum that raises is kept behind any fold error of
+    its length, since ``path_sum_*`` folds every path before it sums.
     """
     coeffs = table.coefficients(bound)
     rule, memo, dips = table.rule, table.factors, table.dips
@@ -268,11 +275,11 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
                 if f is _MISSING:
                     f = memo[key] = rule(coeffs, ctx, None, x, j)
                 weight = total if f is None else f if total is None else total * f
+                weight = 1 if weight is None else _present(weight)
             except _DEFERRED as exc:
                 found.fail(exc, x, x)
             else:
                 sums = found.values[x]
-                weight = 1 if weight is None else weight
                 try:
                     sums[0] += weight
                     if strict:
@@ -599,18 +606,21 @@ def path_sum_mixed(
 # -- monomial choices and the sign-reversing involution ---------------------
 
 
-@dataclass(frozen=True)
-class WeightedTerm:
+class WeightedTerm(Record):
     """One monomial choice per edge of a generalized path.
 
     ``sign`` is the structural sign (the product of the chosen monomials'
     written signs) and ``value`` the signed product of the chosen factors.
     """
 
-    path: MotzkinPath
-    tags: Tuple[str, ...]
-    sign: int
-    value: Scalar
+    __slots__ = _fields = ("path", "tags", "sign", "value")
+
+    def __init__(self, path: MotzkinPath, tags: Tuple[str, ...], sign: int,
+                 value: Scalar) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "value", value)
 
 
 def _edge_monomials(

@@ -210,6 +210,21 @@ def test_one_coefficient_short_of_what_the_oracle_uses(capsys, tmp_path, command
     assert err == f"error: index {missing} outside explicit sequence of length {missing}\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_a_lone_factor_past_a_short_sequence_names_its_index(capsys, tmp_path, fmt):
+    # the path 0:UUUUD closes with lam[4] = gamma[3], and no other factor
+    # multiplies it, so the fold itself must raise the range error
+    obj = {
+        "alpha": {"family": "constant", "value": "1"},
+        "beta": {"family": "explicit", "values": ["0", "1", "2"]},
+        "gamma": {"family": "explicit", "values": ["1", "2", "3"]},
+    }
+    code, out, err = run(capsys, "paths", "--m", 0, "--n", 3, "--k", 5,
+                         "--system", write_system(tmp_path, obj), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: index 3 outside explicit sequence of length 3\n"
+
+
 def test_monic_lincoef_still_checks_alpha_up_to_m_plus_n_plus_1(capsys, tmp_path):
     path = write_system(tmp_path, P1_SQUARED)
     err = expect_input_error(capsys, "lincoef", "--m", 1, "--n", 1, "--method", "monic",

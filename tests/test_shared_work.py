@@ -213,6 +213,15 @@ def test_moments_walk_the_chain_once(capsys, monkeypatch):
     ]
 
 
+def test_moments_scale_the_coefficients_once(capsys, monkeypatch):
+    builds = counting(monkeypatch, oracle_mod, "_scaled")
+    code, out = run(capsys, "moments", "--max", "60", "--system", MONOTONE,
+                    "--format", "records")
+    assert code == 0
+    assert len(out.splitlines()) == 61
+    assert len(builds) == 1
+
+
 def test_poly_ring_results_are_not_revalidated(monkeypatch):
     b0, l1, l2 = indet("b", 0), indet("l", 1), indet("l", 2)
     x = b0 * b0 - l1 * l2 + b0
