@@ -49,7 +49,7 @@ from .positivity import (
     certify_monic,
     required_window,
 )
-from .scalars import DomainMismatchError, format_scalar, scalar_div
+from .scalars import DomainMismatchError, format_scalar
 from .systems import (
     CoefficientSystem,
     SequenceRangeError,
@@ -117,35 +117,30 @@ def _require_nonnegative_max(args: argparse.Namespace) -> None:
 
 # -- lincoef ---------------------------------------------------------------
 
-def _path_totals(args: argparse.Namespace, sys_: CoefficientSystem):
-    """k -> L(p_m p_n p_k) as prefactor times the DP path sum.  Monic: the
-    system is checked as monic up to m + n + 1, the indices the product
-    involves.  Mixed: p_m * p'_n with the system as its own second family."""
-    m, n = args.m, args.n
-    if args.method == "monic":
-        _, lam = monic_b_lambda(sys_, m + n + 1)
-        return lambda k: monic_prefactor(n, lam) * dp_sum(m, n, k, "monic", sys_)
-    return lambda k: mixed_prefactor(m, n, sys_, sys_) * dp_sum(m, k, n, "mixed", sys_, sys_)
-
+# The path methods read each coefficient off one DP path sum, never
+# dividing by L(p_k^2).  Monic: a[m,n]^k sums the paths (0, m) -> (n, k).
+# Mixed: p_m * p_n is the connection of p_m and p'_n with p' = p, whose
+# prefactor divides by alpha[1..n] only, as the oracle does.
 
 def _cmd_lincoef(args: argparse.Namespace) -> List[dict]:
     sys_ = _load(args)
-    table = oracle.expand_product(args.m, args.n, sys_)
-    if args.method == "oracle":
-        rows = table.rows()
-    else:
-        total_at = _path_totals(args, sys_)
-        rows = []
-        for k in sorted(table.entries):
-            total, norm = total_at(k), sys_.norm_squared(k)
-            if norm == 0:
-                raise ValueError(f"L(p{k}*p{k}) is zero, so --method {args.method} "
-                                 f"cannot recover a[{args.m},{args.n}]^{k}")
-            rows.append((k, format_scalar(scalar_div(total, norm)), format_scalar(total)))
+    m, n = args.m, args.n
+    table = oracle.expand_product(m, n, sys_)
+    if args.method == "monic":
+        monic_b_lambda(sys_, m + n + 1)  # the indices the product involves
+        coefficient = lambda k: dp_sum(m, k, n, "monic", sys_)
+    elif args.method == "mixed":
+        prefactor = mixed_prefactor(0, n, sys_, sys_)
+        coefficient = lambda k: prefactor * dp_sum(k, m, n, "mixed", sys_, sys_)
+    if args.method != "oracle":
+        # the oracle's targets, each L-value by the oracle's rule
+        values = {k: coefficient(k) for k in table.entries}
+        table = oracle.LinearizationTable(
+            {k: (c, c * sys_.norm_squared(k)) for k, c in values.items()})
     return [
-        {"command": "lincoef", "m": args.m, "n": args.n, "k": k,
+        {"command": "lincoef", "m": m, "n": n, "k": k,
          "coefficient": c, "l_value": l}
-        for k, c, l in rows
+        for k, c, l in table.rows()
     ]
 
 

@@ -22,7 +22,7 @@ census of paths that stay at or above the axis.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .scalars import Record
 
@@ -151,36 +151,38 @@ def enumerate_paths(
     check_instance(m, n, k)
     if allow_hh and boundary_dips:
         raise ValueError("boundary dips only apply to plain paths")
+    moves = [(s, _DX[s], _DY[s]) for s in reversed(STEP_ORDER) if allow_hh or s != ACROSS2]
     out: List[MotzkinPath] = []
-    steps: List[str] = []
-
-    def rec(x: int, lvl: int) -> None:
+    steps: List[Optional[str]] = [None] * k
+    # depth-first with an explicit stack, so a path's length is not bound
+    # by the recursion limit.  An entry is (x, level, its step's index,
+    # the step that reaches it); each vertex pushes its continuations in
+    # reverse, so they pop in STEP_ORDER.
+    stack: List[Tuple[int, int, int, Optional[str]]] = [(0, m, -1, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, lvl, i, step = pop()
+        if step is not None:
+            steps[i] = step
         rem = k - x
         if rem == 0:
             if lvl == n:
-                out.append(MotzkinPath(m, tuple(steps)))
-            return
+                out.append(MotzkinPath(m, tuple(steps[: i + 1])))
+            continue
         if abs(n - lvl) > rem:
-            return
+            continue
+        i += 1
         if lvl < 0:
             # inside a boundary dip, the only continuation is U
-            steps.append(UP)
-            rec(x + 1, 0)
-            steps.pop()
-            return
-        for s in STEP_ORDER:
-            if s == ACROSS2 and not allow_hh:
+            push((x + 1, 0, i, UP))
+            continue
+        for s, dx, dy in moves:
+            if dx > rem:
                 continue
-            if _DX[s] > rem:
-                continue
-            new = lvl + _DY[s]
+            new = lvl + dy
             if new < 0 and not (boundary_dips and lvl == 0 and s == DOWN):
                 continue
-            steps.append(s)
-            rec(x + _DX[s], new)
-            steps.pop()
-
-    rec(0, m)
+            push((x + dx, new, i, s))
     return out
 
 

@@ -3,11 +3,13 @@
 Everything here is deliberately separate from the library code paths it
 checks: counting recurrences, a standalone recursive path enumerator,
 the moment transfer evaluation, the path/paving pair model that the
-merge identities are stated against, and a plain dict-of-Fraction
-three-term recurrence for the oracle's expansions and moments.
+merge identities are stated against, a plain dict-of-Fraction
+three-term recurrence for the oracle's expansions and moments, and the
+classical closed-form linearizations of He_n and U_n.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 
 def motzkin_numbers(count):
@@ -135,3 +137,14 @@ def recurrence_moments(count, sys):
         vec = _times_x(vec, sys)
         mus.append(vec.get(0, Fraction(0)))
     return mus
+
+
+def hermite_linearization(m, n):
+    """He_m * He_n = sum over j of C(m,j) C(n,j) j! He_{m+n-2j}, as
+    {index: coefficient}."""
+    return {m + n - 2 * j: comb(m, j) * comb(n, j) * factorial(j) for j in range(min(m, n) + 1)}
+
+
+def chebyshev_u_linearization(m, n):
+    """U_m * U_n = sum over j <= min(m, n) of U_{m+n-2j}, as {index: coefficient}."""
+    return {m + n - 2 * j: 1 for j in range(min(m, n) + 1)}

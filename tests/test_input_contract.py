@@ -448,6 +448,12 @@ def test_paths_system_prime_without_system_points_to_generalized(capsys):
     assert "--generalized" in err
 
 
+def test_paths_longer_than_the_recursion_limit_are_enumerated(capsys):
+    code, out, err = run(capsys, "paths", "--m", "0", "--n", "1200", "--k", "1200")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0:" + "U" * 1200, "1 path(s)"]
+
+
 ZERO_GAMMA = {
     "alpha": {"family": "constant", "value": "1"},
     "beta": {"family": "constant", "value": "1"},
@@ -456,14 +462,16 @@ ZERO_GAMMA = {
 
 
 @pytest.mark.parametrize("method", ["monic", "mixed"])
-def test_lincoef_path_methods_name_a_zero_norm(capsys, tmp_path, method):
+def test_lincoef_path_methods_read_past_a_zero_norm(capsys, tmp_path, method):
+    # each coefficient is read off a path sum, never divided by L(p_k^2)
     path = write_system(tmp_path, ZERO_GAMMA)
     code, out, err = run(capsys, "lincoef", "--m", "1", "--n", "1", "--method", method,
-                         "--system", path)
-    assert code == 2
-    assert out == ""
-    assert err == (f"error: L(p2*p2) is zero, so --method {method} "
-                   "cannot recover a[1,1]^2\n")
+                         "--system", path, "--format", "records")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["k"], r["coefficient"], r["l_value"]) for r in rows] == [
+        (0, "1", "1"), (1, "0", "0"), (2, "1", "0"),
+    ]
 
 
 def test_lincoef_oracle_reads_a_zero_norm_unchanged(capsys, tmp_path):

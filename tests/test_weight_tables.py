@@ -1,5 +1,5 @@
 """What the weight tables derive: formula text, counts, merged weights, and
-``lincoef`` path totals from the DP instead of the path census."""
+``lincoef`` path coefficients from the DP instead of the path census."""
 
 import json
 
@@ -24,6 +24,7 @@ from conftest import SYSTEMS_DIR
 
 MONOTONE_MONIC = str(SYSTEMS_DIR / "monotone_monic.json")
 CHEBYSHEV = str(SYSTEMS_DIR / "chebyshev_like.json")
+SYMBOLIC_MONIC = str(SYSTEMS_DIR / "symbolic_monic.json")
 
 
 @pytest.mark.parametrize(
@@ -91,7 +92,9 @@ def test_lincoef_path_methods_enumerate_no_paths(capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("system", [MONOTONE_MONIC, CHEBYSHEV], ids=["monotone", "chebyshev"])
+@pytest.mark.parametrize(
+    "system", [MONOTONE_MONIC, CHEBYSHEV, SYMBOLIC_MONIC], ids=["monotone", "chebyshev", "symbolic"]
+)
 def test_lincoef_path_methods_equal_the_oracle(capsys, system):
     for m in range(6):
         for n in range(6):
