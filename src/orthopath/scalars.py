@@ -8,18 +8,39 @@ Every computation in this package runs in one of two scalar domains:
 * symbolic: :class:`Poly`, a sparse polynomial with integer coefficients
   in indeterminates such as ``b3``, ``l4``, ``a'2``.
 
-A ``Poly`` is stored as a dict from monomial to nonzero int coefficient.
-A monomial is a tuple of ``(family_rank, index, exponent)`` triples,
-e.g. ``b3^2`` -> ``((0, 3, 2),)``.  The empty tuple is the constant
-monomial.  Canonical form: the factors are strictly increasing in
-``(family_rank, index)``, every exponent is at least 1, and no
-coefficient is zero; the constructor rejects any other monomial.  So
-equality is plain dict equality, independent of how a value was built,
-and a product of two monomials is a merge of two sorted tuples.
+A ``Poly`` is stored as a dict from packed monomial to nonzero int
+coefficient.  Its public face is the tuple form: a monomial is a tuple
+of ``(family_rank, index, exponent)`` triples, e.g. ``b3^2`` ->
+``((0, 3, 2),)``, the empty tuple is the constant, and the factors are
+strictly increasing in ``(family_rank, index)`` with every exponent at
+least 1.  ``Poly(dict)`` takes that form and rejects any other monomial,
+``Poly.terms`` gives it back, and a pickled ``Poly`` carries it.
+
+Inside, a monomial is one ``int`` with a 16-bit exponent field per
+indeterminate (S. C. Johnson, "Sparse polynomial arithmetic", 1974;
+Monagan and Pearce, CASC 2007), so a product of two monomials is one
+integer addition and equality is plain dict equality.  A module registry
+gives each indeterminate its field, its slot, on first use, so a slot
+means something only within one process: packed ints never leave it.
+Registration takes a lock, so threads that meet new variables at once
+get distinct slots; the hot path, a variable already registered, reads
+the registry without it.
+The top bit of each field is a guard: exponents are at most
+``EXPONENT_BOUND`` = 2**15 - 1, so two of them add without a carry into
+the next field, and a product or constructor that would pass the bound
+raises :class:`ExponentOverflowError` (a ``ValueError``) instead of
+wrapping.
 
 ``str`` lists terms by descending degree, and within one degree by
-descending monomial tuple.  Two distinct monomials of equal degree are
-never prefixes of one another, because every exponent is at least 1.
+descending monomial tuple, as the tuple form sorted them: two distinct
+monomials of equal degree are never prefixes of one another, because
+every exponent is at least 1.  Slots follow first use, not that order,
+so rendering decodes each monomial: ``int.to_bytes`` gives its fields,
+read in canonical variable order, and per-slot factor texts kept in the
+registry give its text.  There is deliberately no memo from monomial to
+text: the symbolic benchmark renders about 6,000 distinct monomials a
+pass, and such a memo, tried on the same kernel, raised that workload's
+peak RSS from 29.5 to 36.3 MB (+23 %) for a faster render.
 
 Mixing the two domains (``Fraction`` with ``Poly``) is an input error
 and raises :class:`DomainMismatchError`.  There is deliberately no
@@ -44,8 +65,13 @@ a median 30 ms with them and 10.5 ms without.  Classes on hot paths
 from __future__ import annotations
 
 import re
+import sys
+from _thread import allocate_lock
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from functools import reduce
+from itertools import repeat
+from operator import getitem, itemgetter, or_
+from typing import Dict, Iterable, List, Tuple, Union
 
 
 class DomainMismatchError(TypeError):
@@ -152,6 +178,78 @@ def _check_monomial(mono: Monomial) -> None:
         prev = (rank, index)
 
 
+# -- packed monomials -------------------------------------------------------
+
+_WIDTH = 16  # bits per exponent field, read back as one "H" item each
+EXPONENT_BOUND = (1 << (_WIDTH - 1)) - 1  # the field's top bit is its guard
+_RENDER_TEXTS = 16  # exponents 0..15 have their factor text kept per slot
+
+
+class ExponentOverflowError(ValueError):
+    """Raised when an exponent would pass ``EXPONENT_BOUND``."""
+
+
+# The registry: (rank, index) -> slot, assigned on first use, so a slot
+# means something only within one process.  Per slot: its variable and its
+# factor text at exponents 0.._RENDER_TEXTS-1 ("" at 0).
+_SLOTS: Dict[Tuple[int, int], int] = {}
+_VARS: List[Tuple[int, int]] = []
+_TEXTS: List[Tuple[str, ...]] = []
+_ORDER: List[int] = []  # the slots in canonical variable order
+_guard_bits = 0  # the guard bit of every registered field
+_wide_bits = 0  # the bits of every registered field that only exponents past the texts set
+_REGISTERING = allocate_lock()  # _thread's: loaded at startup, unlike threading
+
+
+def _unit(rank: int, index: int) -> int:
+    """The packed monomial of one variable to the first power."""
+    slot = _SLOTS.get((rank, index))
+    if slot is None:
+        slot = _register(rank, index)
+    return 1 << (_WIDTH * slot)
+
+
+def _register(rank: int, index: int) -> int:
+    """Give a variable its slot, under the registry's lock.  The slot is
+    published in ``_SLOTS`` last, so a thread that reads it finds the rest
+    of the registry ready, and ``_ORDER`` is replaced, never sorted in
+    place, so a render never sees it half built."""
+    global _ORDER, _guard_bits, _wide_bits
+    if not 0 <= rank < len(FAMILIES):
+        raise ValueError(f"unknown indeterminate family rank {rank!r}")
+    with _REGISTERING:
+        slot = _SLOTS.get((rank, index))
+        if slot is None:
+            slot = len(_VARS)
+            name = f"{FAMILIES[rank]}{index}"
+            _VARS.append((rank, index))
+            _TEXTS.append(("", name, *[f"{name}^{e}" for e in range(2, _RENDER_TEXTS)]))
+            _ORDER = sorted([*_ORDER, slot], key=_VARS.__getitem__)
+            shift = _WIDTH * slot
+            _guard_bits |= 1 << (shift + _WIDTH - 1)
+            _wide_bits |= (1 << (shift + _WIDTH)) - (_RENDER_TEXTS << shift)
+            _SLOTS[(rank, index)] = slot
+    return slot
+
+
+def _pack(mono: Monomial) -> int:
+    packed = 0
+    for rank, index, exp in mono:
+        unit = _unit(rank, index)
+        if exp > EXPONENT_BOUND:
+            raise ExponentOverflowError(
+                f"exponent {exp} is past the bound {EXPONENT_BOUND}: {mono!r}"
+            )
+        packed += exp * unit
+    return packed
+
+
+def _unpack(packed: int) -> Monomial:
+    """The tuple form of a packed monomial: its fields, read as "H" items."""
+    fields = memoryview(packed.to_bytes(2 * len(_VARS), sys.byteorder)).cast("H")
+    return tuple(sorted([(*_VARS[slot], exp) for slot, exp in enumerate(fields) if exp]))
+
+
 class Poly:
     """Sparse multivariate polynomial with integer coefficients.
 
@@ -161,40 +259,46 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Dict[Monomial, int] | None = None):
-        clean: Dict[Monomial, int] = {}
+        clean: Dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
                 _check_int_coeff(coeff)
                 _check_monomial(mono)
+                packed = _pack(mono)
                 if coeff != 0:
-                    clean[mono] = coeff
+                    clean[packed] = coeff
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, terms: Dict[Monomial, int]) -> "Poly":
-        """Wrap a dict already in canonical form (int coefficients, no
-        zeros) without re-validating it; for ring-operation results."""
+    def _trusted(cls, terms: Dict[int, int]) -> "Poly":
+        """Wrap a dict of packed monomials already in canonical form (int
+        coefficients, no zeros) without re-validating it; for
+        ring-operation results."""
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
+
+    def __reduce__(self):
+        # a packed monomial means nothing in another process: pickle tuples
+        return Poly, (self.terms,)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
         _check_int_coeff(c)
-        return cls({(): c} if c else {})
+        return cls._trusted({0: c} if c else {})
 
     @classmethod
     def indeterminate(cls, family: str, index: int) -> "Poly":
         ind = Indeterminate(family, index)
-        return cls({((_FAMILY_RANK[ind.family], ind.index, 1),): 1})
+        return cls._trusted({_unit(_FAMILY_RANK[ind.family], ind.index): 1})
 
     # -- inspection ----------------------------------------------------
 
     @property
     def terms(self) -> Dict[Monomial, int]:
-        return dict(self._terms)
+        return {_unpack(mono): coeff for mono, coeff in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -209,7 +313,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return Poly.constant(other)
+            return Poly._trusted({0: other} if other else {})
         if isinstance(other, (Fraction, float, complex)):
             raise DomainMismatchError(
                 "cannot mix symbolic polynomials with non-integer numerics"
@@ -220,13 +324,11 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
+        big, small = self._terms, rhs._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        _accumulate(out, small)
         return Poly._trusted(out)
 
     __radd__ = __add__
@@ -247,19 +349,34 @@ class Poly:
         return rhs + (-self)
 
     def __mul__(self, other: object) -> "Poly":
+        if type(other) is int:  # the monomials stay, shared
+            if other == 1:
+                return self
+            return Poly._trusted({m: c * other for m, c in self._terms.items()} if other else {})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         outer, inner = self._terms, rhs._terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
+        if not outer:
+            return Poly._trusted({})
         inner_items = tuple(inner.items())
-        out: Dict[Monomial, int] = {}
+        rows = iter(outer.items())
+        # one row of products has distinct monomials; later rows merge in
+        m1, c1 = next(rows)
+        out = {m1 + m2: c1 * c2 for m2, c2 in inner_items}
         get = out.get
-        for m1, c1 in outer.items():
+        for m1, c1 in rows:
             for m2, c2 in inner_items:
-                mono = _mul_monomials(m1, m2)
+                mono = m1 + m2
                 out[mono] = get(mono, 0) + c1 * c2
+        # two fields within the bound add without a carry, so a field past
+        # it shows as its guard bit
+        if reduce(or_, out) & _guard_bits:
+            raise ExponentOverflowError(
+                f"a product has an exponent past the bound {EXPONENT_BOUND}"
+            )
         if 0 in out.values():
             out = {mono: coeff for mono, coeff in out.items() if coeff}
         return Poly._trusted(out)
@@ -278,7 +395,7 @@ class Poly:
         if isinstance(other, Poly):
             return self._terms == other._terms
         if isinstance(other, int) and not isinstance(other, bool):
-            return self._terms == Poly.constant(other)._terms
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -287,52 +404,99 @@ class Poly:
     # -- rendering -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        out = []
-        for mono, coeff in sorted(
-            self._terms.items(),
-            key=lambda term: (sum([f[2] for f in term[0]]), term[0]),
-            reverse=True,
-        ):
-            body = "*".join([
-                f"{FAMILIES[rank]}{index}" if exp == 1 else f"{FAMILIES[rank]}{index}^{exp}"
-                for rank, index, exp in mono
-            ])
-            mag = abs(coeff)
-            out.append(" - " if coeff < 0 else " + ")
-            out.append((body if mag == 1 else f"{mag}*{body}") if body else str(mag))
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        used = reduce(or_, terms)
+        if not used:  # the constant alone
+            return str(terms[0])
+        if used & _wide_bits or used.bit_length() > _RENDER_BITS:
+            return _render_wide(terms)
+        return _render(terms, used)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two canonical monomials: a merge of their factor tuples,
-    adding exponents where ``(rank, index)`` match."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        r1, x1, e1 = m1[i]
-        r2, x2, e2 = m2[j]
-        if r1 == r2 and x1 == x2:
-            out.append((r1, x1, e1 + e2))
-            i += 1
-            j += 1
-        elif r1 < r2 or (r1 == r2 and x1 < x2):
-            out.append(m1[i])
-            i += 1
+def _accumulate(acc: Dict[int, int], terms: Dict[int, int]) -> None:
+    """Add packed terms into a private dict, dropping cancelled monomials."""
+    get = acc.get
+    for mono, coeff in terms.items():
+        new = get(mono, 0) + coeff
+        if new:
+            acc[mono] = new
         else:
-            out.append(m2[j])
-            j += 1
-    return (*out, *m1[i:], *m2[j:])
+            del acc[mono]
+
+
+# ``str`` lists terms by descending (degree, canonical monomial tuple).
+# Read over the variables a polynomial uses, in canonical order, two
+# monomials of one degree compare as their tuples do where an absent
+# variable ranks above every exponent: at the first variable where they
+# differ, the one without it has a later variable next.  So with every
+# exponent below _RENDER_TEXTS, the exponents as bytes, with 0 read as
+# 255, sort as the tuples do.  A degree is the sum of a monomial's
+# fields, which is the packed int modulo 2**16 - 1 while it stays below
+# that: so the fields above _RENDER_BITS render from tuples.
+_ABSENT_LAST = bytes([255, *range(1, 256)])
+_ABSENT_BACK = bytes([*range(255), 0])
+_FIELD_SUM = (1 << _WIDTH) - 1
+_RENDER_BITS = _WIDTH * (_FIELD_SUM // (_RENDER_TEXTS - 1) - 1)
+
+
+def _sign(coeff: int) -> str:
+    """The text before a term's monomial: its sign and magnitude."""
+    mag = abs(coeff)
+    return (" - " if coeff < 0 else " + ") + ("" if mag == 1 else f"{mag}*")
+
+
+def _render(terms: Dict[int, int], used: int) -> str:
+    """``str`` of a polynomial with every exponent below _RENDER_TEXTS, in
+    C-level passes over its terms: each exponent is the low byte of its
+    field."""
+    data = used.to_bytes(2 * len(_VARS), "little")
+    slots = [slot for slot in _ORDER if data[2 * slot]]
+    texts = [_TEXTS[slot] for slot in slots]
+    # a tuple even for one slot: the first slot again, past the texts
+    read = itemgetter(*[2 * slot for slot in slots], 2 * slots[0])
+    size = (used.bit_length() + 7) // 8
+    rows = sorted(zip(
+        map(int.__mod__, terms, repeat(_FIELD_SUM)),
+        map(bytes.translate,
+            map(bytes, map(read, map(int.to_bytes, terms, repeat(size), repeat("little")))),
+            repeat(_ABSENT_LAST)),
+        terms.values(),
+    ), reverse=True)
+    tail = ""
+    if not rows[-1][0]:  # the constant term: no "*" after its magnitude
+        coeff = rows.pop()[2]
+        tail = f" - {-coeff}" if coeff < 0 else f" + {coeff}"
+    _, keys, coeffs = zip(*rows)
+    signs = {coeff: _sign(coeff) for coeff in set(coeffs)}
+    bodies = map("*".join, map(filter, repeat(None), map(
+        map, repeat(getitem), repeat(texts), map(bytes.translate, keys, repeat(_ABSENT_BACK)))))
+    text = "".join(map(str.__add__, map(signs.__getitem__, coeffs), bodies)) + tail
+    return "-" + text[3:] if text[1] == "-" else text[3:]
+
+
+def _render_wide(terms: Dict[int, int]) -> str:
+    """``str`` of a polynomial with a large exponent, from its monomial
+    tuples."""
+    out = []
+    for mono, coeff in sorted(
+        [(_unpack(mono), coeff) for mono, coeff in terms.items()],
+        key=lambda term: (sum([f[2] for f in term[0]]), term[0]),
+        reverse=True,
+    ):
+        body = "*".join([
+            f"{FAMILIES[rank]}{index}" if exp == 1 else f"{FAMILIES[rank]}{index}^{exp}"
+            for rank, index, exp in mono
+        ])
+        mag = abs(coeff)
+        out.append(" - " if coeff < 0 else " + ")
+        out.append((body if mag == 1 else f"{mag}*{body}") if body else str(mag))
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def indet(family: str, index: int) -> Poly:
@@ -377,7 +541,7 @@ def parse_polynomial(text: str) -> Poly:
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
         coeff = sign
-        mono: Monomial = ()
+        exps: Dict[Tuple[int, int], int] = {}
         for factor in body.split("*"):
             if factor.isdigit():
                 coeff *= int(factor)
@@ -388,9 +552,9 @@ def parse_polynomial(text: str) -> Poly:
             family, index, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
             if exp == 0:
                 raise ValueError(f"zero exponent in factor {factor!r} of {text!r}")
-            mono = _mul_monomials(
-                mono, ((_FAMILY_RANK[family], index, exp),)
-            )
+            var = (_FAMILY_RANK[family], index)
+            exps[var] = exps.get(var, 0) + exp
+        mono = tuple(sorted([(rank, index, exp) for (rank, index), exp in exps.items()]))
         result = result + Poly({mono: coeff})
     return result
 
@@ -452,8 +616,54 @@ def scalar_product(values: Iterable[Scalar]) -> Scalar:
 
 
 def scalar_sum(values: Iterable[Scalar]) -> Scalar:
-    """Sum of scalars; the empty sum is 0."""
+    """Sum of scalars; the empty sum is 0.  A sum that starts with a
+    ``Poly`` runs in a :class:`RunningSum`."""
     result: Scalar = 0
+    values = iter(values)
+    for v in values:
+        result = result + v
+        break
+    if type(result) is Poly:
+        running = RunningSum(result)
+        for v in values:
+            running += v
+        return running.value
     for v in values:
         result = result + v
     return result
+
+
+class RunningSum:
+    """``total = total + v`` over many values, starting from 0, where a
+    ``Poly`` total is kept as one private dict of terms: adding a ``Poly``
+    to it merges that term's monomials in place instead of copying the
+    total.  Any other value is added as ``+`` adds it, and raises where
+    ``+`` raises, leaving the total as it was.  ``value`` is the total."""
+
+    __slots__ = ("_terms", "_other")
+
+    def __init__(self, start: Scalar = 0) -> None:
+        self._terms: Dict[int, int] | None = None  # the total, when it is a Poly
+        self._other: Scalar = 0
+        self += start
+
+    def __iadd__(self, v: Scalar) -> "RunningSum":
+        terms = self._terms
+        if terms is None:
+            total = self._other + v
+        elif type(v) is Poly:
+            _accumulate(terms, v._terms)
+            return self
+        else:
+            total = Poly._trusted(terms) + v
+        if type(total) is Poly:
+            # a sum may return an operand itself; the total owns a copy
+            self._terms, self._other = dict(total._terms), 0
+        else:
+            self._terms, self._other = None, total
+        return self
+
+    @property
+    def value(self) -> Scalar:
+        terms = self._terms
+        return self._other if terms is None else Poly._trusted(dict(terms))

@@ -13,6 +13,7 @@ meeting non-integer scalars), reading that length raises the same error
 with the same message, and every other length still reads its value.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from orthopath import (
+    AffineSeq,
     CoefficientSystem,
     DomainMismatchError,
     ExplicitSeq,
@@ -157,8 +159,9 @@ def short_monic(length):
 
 
 # path_sum_*'s weight_sum without the prefactor, which can raise too.  Every
-# path is folded before the sum, as there: a fold can return a short
-# sequence's placeholder, which raises only when it is added.
+# path is folded before the sum, as there: a fold whose product is a short
+# sequence's lone placeholder raises at the fold, since ``_fold`` returns
+# ``_present(total)``, so no sum is taken after it.
 
 def monic_weight_sum(m, n, k, b, lam):
     return scalar_sum([path_weight_monic(p, b, lam)
@@ -234,3 +237,18 @@ def test_symbolic_with_rational_raises_at_the_lengths_its_instances_do(order):
         top=3,
     )
     assert raised and len(raised) < 4 ** 3
+
+
+def test_a_census_deeper_than_the_recursion_limit_completes():
+    # (0, 0) -> (k, n) at n = k has the one path of all U steps, so the walk
+    # is one prefix deep at each length, and deeper than the limit at k = n
+    n = sys.getrecursionlimit() + 50
+    b, lam = AffineSeq(0, 1), AffineSeq(1, 1)
+    monic = monic_census(0, n, n, b, lam)
+    assert monic(n) == (path_sum_monic(0, n, n, b, lam).weight_sum,
+                        strict_monic_weight_sum(0, n, n, b, lam))
+    assert monic(n - 1) == (0, 0)
+    sys_ = CoefficientSystem(AffineSeq(1, 1), AffineSeq(0, 1), AffineSeq(2, 1))
+    mixed = mixed_census(0, n, n, sys_, sys_)
+    assert mixed(n) == path_sum_mixed(0, n, n, sys_, sys_).weight_sum
+    assert mixed(n - 1) == 0

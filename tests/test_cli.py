@@ -380,3 +380,26 @@ def test_readme_cli_examples_run(capsys, monkeypatch):
     first = outputs[" ".join(examples[0])].splitlines()
     assert [line.split()[1] for line in first[1:]] == ["1", "0", "1"]
     assert outputs["paths --m 3 --n 3 --k 3"].splitlines()[-1] == "7 path(s)"
+
+
+def test_one_parser_serves_every_call_with_fresh_defaults(capsys):
+    from orthopath.cli import build_parser
+
+    assert build_parser() is build_parser()
+    monic = str(SYSTEMS_DIR / "monotone_monic.json")
+    prime = str(SYSTEMS_DIR / "monotone_prime.json")
+    calls = [
+        ["lincoef", "--m", "2", "--n", "3", "--method", "monic", "--system", monic,
+         "--format", "records"],
+        ["lincoef", "--m", "2", "--n", "3", "--system", monic],  # oracle, table
+        ["verify", "--max", "2", "--method", "monic", "--system", monic],
+        ["verify", "--max", "2", "--system", monic, "--system-prime", prime],  # all
+        ["moments", "--max", "3", "--system", monic, "--format", "records"],
+        ["moments", "--max", "3", "--system", monic],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "orthopath", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -370,6 +370,22 @@ def test_symbolic_monic_verify_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_VERIFY_DIGESTS[fmt]
 
 
+# The symbolic monic verify at --max 5, taken from the tuple-keyed Poly:
+# the packed-exponent Poly must print the same bytes.
+SYMBOLIC_REACH_DIGESTS = {
+    "table": "11f54b7496b2530de0d0f57582463a57a44f1ee75619d095519e40e3c88570ba",
+    "records": "a915a03e9916dc2b1ea551d767e4e64abd40d13a1deeabd7e8c0e479fe1d6408",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_symbolic_monic_verify_at_max_5_is_pinned(capsys, fmt):
+    code, out = run(capsys, "verify", "--max", "5", "--method", "monic",
+                    "--system", SYMBOLIC, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOLIC_REACH_DIGESTS[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["table", "records"])
 def test_verify_keeps_streamed_output_before_an_error(capsys, monkeypatch, fmt):
     import orthopath.cli as cli
