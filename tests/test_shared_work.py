@@ -547,3 +547,64 @@ def test_verify_on_a_short_system_fails_where_it_did(capsys, tmp_path, length, r
     assert out.err == f"error: index {length} outside explicit sequence of length {length}\n"
     assert len(out.out.splitlines()) == records
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+
+
+# Taken before symbolic, the certificates and paths --system read one
+# shared-prefix walk (weights.monic_listing, mixed_listing).
+LISTING_DIGESTS = {
+    ("symbolic-6-6-8", "table"):
+        "3dd2bc37f6a74c4b35c10c83b8424a7aff27c47402749d26d22f4a0c0c254f0a",
+    ("symbolic-6-6-8", "records"):
+        "bc854762de83e6dd3cdedffb20b93fbe46960d836f68a47c5473758f95aa36df",
+    ("paths-monic", "table"):
+        "d1af231b820c4a0d872685a109acb0193b5756be4e2590e8ba26d4fdc4400f62",
+    ("paths-monic", "records"):
+        "9e6b1c758a7d725e30eb4afe61ae9d878eddd38b77ff804e7e64d7e1e532ba2a",
+    ("paths-mixed", "table"):
+        "c864748ea47d176d7efaecdac5e5a5f7c9a51804f229d7768299d8bc1da6dbac",
+    ("paths-mixed", "records"):
+        "216219de3f5b2c2f073d8e0a2c667b5cc1653e6f941cd3883bcd45a4a87b3769",
+    ("paths-merged", "table"):
+        "00bc01f63fabbb0a32dd79a85ad2ef2775af36b51324fd43e81e04973f6ad5ab",
+    ("paths-merged", "records"):
+        "87cd0f3c2ed192734daf243d7088e2b05d80a8875940e6f738d80bd33a082c87",
+}
+LISTING_COMMANDS = {
+    "symbolic-6-6-8": ("symbolic", "--m", "6", "--n", "6", "--k", "8"),
+    "paths-monic": ("paths", "--m", "2", "--n", "2", "--k", "6", "--system", MONOTONE_MONIC),
+    "paths-mixed": ("paths", "--m", "2", "--n", "2", "--k", "5", *TWO_FAMILY,
+                    "--method", "mixed"),
+    "paths-merged": ("paths", "--m", "2", "--n", "2", "--k", "5", *TWO_FAMILY,
+                     "--method", "merged"),
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(LISTING_DIGESTS))
+def test_listed_path_weights_are_pinned(capsys, case, fmt):
+    code, out = run(capsys, *LISTING_COMMANDS[case], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[case, fmt]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max", "2", "--system", MONOTONE_MONIC, "--system-prime", MONOTONE_PRIME),
+    ("positivity", "--max", "2", "--system", MONOTONE, "--system-prime", MONOTONE_PRIME),
+    ("symbolic", "--m", "2", "--n", "3", "--k", "3"),
+])
+def test_the_shared_encoder_prints_what_json_dumps_does(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "records")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) > 3
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+
+
+@pytest.mark.parametrize("method", ["monic", "mixed"])
+def test_lincoef_path_methods_scale_the_coefficients_once(capsys, monkeypatch, method):
+    calls = counting(monkeypatch, weights_mod, "_scaled")  # keeps each tuple alive
+    code, out = run(capsys, "lincoef", "--m", "6", "--n", "5", "--method", method,
+                    "--system", RATIONAL_MONIC, "--format", "records")
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) == 11  # one DP walk per target k = 1..11
+    # _scaled computes again only for a new tuple of coefficients
+    assert len({id(seqs) for _, seqs, _ in calls}) == 1
