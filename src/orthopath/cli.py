@@ -388,9 +388,14 @@ def _positivity_view(args: argparse.Namespace, records: Iterable[dict]) -> Itera
 # -- paths -------------------------------------------------------------------
 
 def _cmd_paths(args: argparse.Namespace) -> List[dict]:
+    # flag rules first, so that no file is opened for a rejected combination
     if args.system_prime and not args.system:
         raise ValueError("--system-prime weighs paths with --system; for unweighted "
                          "paths with the two-unit across step use --generalized")
+    if args.generalized and args.system and not args.system_prime:
+        raise ValueError("monic weights are defined on plain paths only")
+    if args.method and not args.system_prime:
+        raise ValueError("--method chooses the two-family weights, which need --system-prime")
     m, n, k = args.m, args.n, args.k
     base = {"command": "paths", "m": m, "n": n, "k": k}
     if not args.system:
@@ -402,7 +407,7 @@ def _cmd_paths(args: argparse.Namespace) -> List[dict]:
         rows = mixed_listing(m, n, k, sys_, prime, merged=args.method == "merged")
     else:
         b, lam = monic_b_lambda(_load(args), m + n + k + 2)
-        rows = monic_listing(m, n, k, b, lam, allow_hh=args.generalized)
+        rows = monic_listing(m, n, k, b, lam)
     return [dict(base, path=str(p), weight=format_scalar(w)) for p, w in rows]
 
 
@@ -516,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--generalized", action="store_true",
                    help="include the two-unit across step")
-    p.add_argument("--method", choices=("mixed", "merged"), default="mixed")
+    # the two-family weights, mixed unless given; only with --system-prime
+    p.add_argument("--method", choices=("mixed", "merged"))
 
     p = command("moments", "moment sequence of a system", _cmd_moments, _moments_view)
     p.add_argument("--max", type=int, required=True)

@@ -65,42 +65,37 @@ the per-path fold computes each factor once per (context, step, x,
 level).  The DP meets each factor once per call and reads the rule
 directly, so a long DP leaves no factors behind.
 
-One walk for every length
--------------------------
+One prefix walk
+---------------
 
-``orthopath verify`` needs every (m, n, k) up to a top T, so it walks
-once per (m, n) and reads the walk at each k <= T.  The census walk
-(``monic_census``, ``mixed_census``) is one depth-first walk over path
-prefixes from (0, m), pruned to those that can still end at level n by
-length T.  Each prefix carries its running product through the fold's
-factor memo, so every path (0, m) -> (k, n) is met once, in
-``enumerate_paths``' order, and weighed exactly as ``_fold`` weighs it;
-paths are never merged by state.  The monic walk also keeps the sum over
-the paths that never dip.  The DP (``_dp``) keeps its states at every
-length <= T; ``dp_walk`` closes and divides only the lengths it is asked
-for, and ``dp_sum`` is the walk to T = k read at k.
+One depth-first walk over path prefixes from (0, m) (``_walk``) feeds
+every command that sums or lists paths one by one.  It is pruned to the
+prefixes that can still end at level n by its top length, and each
+prefix carries its running product through the fold's factor memo, so
+every path is met once, in ``enumerate_paths``' order, and weighed
+exactly as ``_fold`` weighs it; paths are never merged by state, and a
+prefix's factors are multiplied once for all the paths that share it.
 
-A census or DP walk reads coefficients further ahead than a single
-instance does.  So an error it meets (an index past a short sequence,
-or symbolic and non-integer scalars meeting) is kept for each length it
-reaches and raised only when one of those is read: at the same lengths,
-with the same message, as a walk per length.
+``orthopath verify`` needs every (m, n, k) up to a top T, so its census
+(``monic_census``, ``mixed_census``, over ``_census``) walks once per
+(m, n) to T and sums the paths at each length k <= T; the monic census
+also keeps the sum over the paths that never dip.  The commands that
+print one row per path (``symbolic``, the ``positivity`` certificates
+and ``paths --system``) read the listing (``monic_listing``,
+``mixed_listing``, over ``_listing``): the walk to T = k read at k only.
+``symbolic`` lists the boundary-dip census, the certificates and
+``paths`` the strict monic or the generalized two-family one.  The DP
+(``_dp``) keeps its states at every length <= T; ``dp_walk`` closes and
+divides only the lengths it is asked for, and ``dp_sum`` is the walk to
+T = k read at k.
 
-One walk for every listed path
-------------------------------
-
-The commands that print one row per path (``symbolic``, the
-``positivity`` certificates and ``paths --system``) read the listing
-walk (``monic_listing``, ``mixed_listing``, over ``_listing``): the
-same depth-first walk over the prefixes of one instance's paths
-(0, m) -> (k, n), which yields each path with its weight, in
-``enumerate_paths``' order, so a prefix's factors are multiplied once
-for all the paths that share it.  The walk takes boundary dips as an
-argument: ``symbolic`` lists the boundary-dip census, the certificates
-and ``paths`` the strict or the generalized one.  It reads an edge's
-factor only when that prefix comes up, after every earlier path has
-been yielded, so an error is raised at the first path whose own fold
-raises it, with the same message.
+A walk reads coefficients further ahead than a single path or instance
+does.  So an error it meets (an index past a short sequence, or symbolic
+and non-integer scalars meeting) comes up in the place of the paths it
+stops: the census keeps it for each length it reaches and raises it only
+when one of those is read, and the listing raises it after every earlier
+path, so both fail where a walk per instance, or a fold per path, did,
+with the same message.
 
 Fraction-free DP
 ----------------
@@ -260,54 +255,46 @@ class _Lengths:
         return self.values[k]
 
 
-def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
-    """The sums of the fold over every path (0, m) -> (k, n) the table
-    admits, for every k <= top: [weight sum, strict sum] at each length,
-    where the strict sum is over the paths that never dip, kept for a table
-    that admits dips (0 otherwise).
+def _walk(
+    table: _Table, m: int, n: int, top: int, first: int, bound: int, dips: bool,
+    walked: List[Optional[str]],
+) -> Iterator[tuple]:
+    """Every path (0, m) -> (x, n) the table admits, first <= x <= top, with
+    boundary dips when ``dips``, in ``enumerate_paths``' order, as
+    (x, weight, strict, i): the path's steps are ``walked[:i]``, its weight
+    the product ``_fold`` gives it, closing factor included, and ``strict``
+    says that it never dips (False throughout when ``dips`` is).  An error
+    met is yielded in the place of the paths it stops, as (x, error, None,
+    last): it reaches the lengths x..last.
 
-    One depth-first walk over path prefixes, pruned to those that can still
-    end at level n within length top, on an explicit stack, so that no
-    recursion limit bounds its depth.  Each prefix carries its running
-    product of factors, read through the fold's memo, so each path's weight
-    is the product ``_fold`` gives it, every path is its own term, and the
-    terms are added in ``enumerate_paths``' order.  A prefix whose factor
-    raises is not extended; its error is kept for the lengths it could
-    reach, and so is a path's weight that is a lone placeholder, which
-    ``_fold`` raises.  A sum that raises is kept behind any fold error of
-    its length, since ``path_sum_*`` folds every path before it sums.
-
-    Over polynomial coefficients each sum is a ``RunningSum``, which adds a
-    term into one dict, where ``+=`` would copy the whole sum on every
-    path: ``verify --method monic`` on ``symbolic_monic.json`` took a
-    median 1.9 s with it and 3.0 s with ``+=`` at ``--max 8``, and 7.2 s
-    against 18.0 s at ``--max 9`` (2-vCPU Xeon, CPython 3.11, alternating
-    runs).  Numeric sums keep ``+=``.
+    One depth-first walk over path prefixes on an explicit stack, so that
+    no recursion limit bounds its depth, pruned to those that can still end
+    at level n within length top.  A prefix is pushed with its running
+    product, each factor read through the fold's memo when the prefix is
+    pushed and multiplied in the fold's order; a factor that raises pushes
+    its error in the place of the prefix, which is not extended, so errors
+    come up in the order of a recursive walk.  A path whose weight is a
+    lone placeholder yields the error ``_fold`` raises for it.
     """
     coeffs = table.coefficients(bound)
-    rule, memo, dips = table.rule, table.factors, table.dips
-    moves = [(step, _DX[step], _DY[step], table.leaves.get(step)) for step in table.steps]
-    reverse = moves[::-1]
+    rule, memo = table.rule, table.factors
+    moves = [(step, _DX[step], _DY[step], table.leaves.get(step))
+             for step in reversed(table.steps)]
     climb = [(UP, 1, 1, table.leaves.get(UP))]  # out of a dip
-    symbolic = any(type(v) is Poly for seq in coeffs for v in seq)
-    found = _Lengths([[RunningSum(), RunningSum()] if symbolic else [0, 0]
-                      for _ in range(top + 1)])
-    late: Dict[int, Exception] = {}
-
-    # An entry is a prefix that ends at (x, j): its context, running
-    # product and strictness; or, at x = -1, the error its last factor
-    # raised and the first length it reaches.  A popped prefix reads its
-    # steps' factors and pushes its extensions in reverse, each error in
-    # the place of the prefix it stops, so errors are kept and terms added
-    # in the order of a recursive walk.
-    stack: List[tuple] = [(0, m, None, None, dips)] if abs(n - m) <= top else []
+    # An entry is a prefix of i steps, the last of them ``step``, that ends
+    # at (x, j): the context it leaves, its product and its strictness; or,
+    # with strictness None, the error its last factor raised (in place of
+    # the context) and the first length it reaches (in place of x).
+    stack: List[tuple] = [(0, m, 0, None, None, None, dips)] if abs(n - m) <= top else []
     push, pop = stack.append, stack.pop
     while stack:
-        x, j, ctx, total, strict = pop()
-        if x < 0:
-            found.fail(ctx, j)
+        x, j, i, step, ctx, total, strict = pop()
+        if strict is None:
+            yield x, ctx, None, top
             continue
-        if j == n:
+        if i:
+            walked[i - 1] = step
+        if j == n and x >= first:
             key = (ctx, None, x, j)
             try:
                 f = memo.get(key, _MISSING)
@@ -316,16 +303,10 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
                 weight = total if f is None else f if total is None else total * f
                 weight = 1 if weight is None else _present(weight)
             except _DEFERRED as exc:
-                found.fail(exc, x, x)
+                yield x, exc, None, x
             else:
-                sums = found.values[x]
-                try:
-                    sums[0] += weight
-                    if strict:
-                        sums[1] += weight
-                except _DEFERRED as exc:
-                    late.setdefault(x, exc)
-        for step, dx, dy, after in reverse if j >= 0 else climb:
+                yield x, weight, strict, i
+        for step, dx, dy, after in moves if j >= 0 else climb:
             nx, nj = x + dx, j + dy
             if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
                 continue
@@ -336,9 +317,45 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
                     f = memo[key] = rule(coeffs, ctx, step, x, j)
                 value = total if f is None else f if total is None else total * f
             except _DEFERRED as exc:
-                push((-1, nx + abs(n - nj), exc, None, False))
+                push((nx + abs(n - nj), None, None, None, exc, None, None))
             else:
-                push((nx, nj, after, value, strict and nj >= 0))
+                push((nx, nj, i + 1, step, after, value, strict and nj >= 0))
+
+
+def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
+    """The sums of the fold over every path (0, m) -> (k, n) the table
+    admits, for every k <= top: [weight sum, strict sum] at each length,
+    where the strict sum is over the paths that never dip, kept for a table
+    that admits dips (0 otherwise).
+
+    One ``_walk`` over every length: every path is its own term, and the
+    terms are added in ``enumerate_paths``' order.  An error the walk
+    meets is kept for the lengths it reaches.  A sum that raises is kept
+    behind any fold error of its length, since ``path_sum_*`` folds every
+    path before it sums.
+
+    Over polynomial coefficients each sum is a ``RunningSum``, which adds a
+    term into one dict, where ``+=`` would copy the whole sum on every
+    path: ``verify --method monic`` on ``symbolic_monic.json`` took a
+    median 1.9 s with it and 3.0 s with ``+=`` at ``--max 8``, and 7.2 s
+    against 18.0 s at ``--max 9`` (2-vCPU Xeon, CPython 3.11, alternating
+    runs).  Numeric sums keep ``+=``.
+    """
+    symbolic = any(type(v) is Poly for seq in table.coefficients(bound) for v in seq)
+    found = _Lengths([[RunningSum(), RunningSum()] if symbolic else [0, 0]
+                      for _ in range(top + 1)])
+    late: Dict[int, Exception] = {}
+    for x, weight, strict, last in _walk(table, m, n, top, 0, bound, table.dips, [None] * top):
+        if strict is None:
+            found.fail(weight, x, last)
+            continue
+        sums = found.values[x]
+        try:
+            sums[0] += weight
+            if strict:
+                sums[1] += weight
+        except _DEFERRED as exc:
+            late.setdefault(x, exc)
     if symbolic:
         found.values = [[total.value, strict.value] for total, strict in found.values]
     for k, exc in late.items():
@@ -347,55 +364,19 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
 
 
 def _listing(
-    table: _Table, m: int, n: int, k: int, steps: Tuple[str, ...], dips: bool
+    table: _Table, m: int, n: int, k: int, dips: bool
 ) -> Iterator[Tuple[MotzkinPath, Scalar]]:
-    """(path, fold) for every path (0, m) -> (k, n) over ``steps``, boundary
-    dips admitted when ``dips``, in ``enumerate_paths``' order.
-
-    One depth-first walk over path prefixes on an explicit stack, pruned
-    when pushed to those that can still end at (k, n).  Each prefix
-    carries its running product, its factors read through the fold's memo
-    and multiplied in the fold's order, so each weight is the product
-    ``_fold`` gives the path.  An edge's factor is read when its prefix is
-    popped, after every earlier path has been yielded, so an error is
-    raised at the first path whose fold raises it, with the same message.
-    """
-    coeffs = table.coefficients(m + k + 1)  # a level plus one, at most
-    rule, memo, leaves = table.rule, table.factors, table.leaves
-    moves = [(step, _DX[step], _DY[step]) for step in reversed(steps)]
-    climb = [(UP, 1, 1)]  # out of a dip
+    """(path, fold) for every path (0, m) -> (k, n) the table admits,
+    boundary dips admitted when ``dips``, in ``enumerate_paths``' order,
+    from one ``_walk`` read at length k: a prefix's factors are multiplied
+    once for all the paths that share it.  The walk's first error is raised
+    where it comes up, after every earlier path, so at the first path whose
+    fold raises it, with the same message."""
     walked: List[Optional[str]] = [None] * k
-    # An entry is a prefix that ends at (x, j) after i steps, the context
-    # those leave, their running product, and the step out of (x, j) still
-    # to be weighed (None for the empty prefix).
-    stack: List[tuple] = [(0, m, 0, None, None, None)] if abs(n - m) <= k else []
-    push, pop = stack.append, stack.pop
-    while stack:
-        x, j, i, ctx, total, step = pop()
-        if step is not None:
-            key = (ctx, step, x, j)
-            f = memo.get(key, _MISSING)
-            if f is _MISSING:
-                f = memo[key] = rule(coeffs, ctx, step, x, j)
-            if f is not None:
-                total = f if total is None else total * f
-            walked[i] = step
-            ctx = leaves.get(step)
-            x, j, i = x + _DX[step], j + _DY[step], i + 1
-        if x == k:  # then j == n: the pruning keeps no other ends
-            key = (ctx, None, x, j)
-            f = memo.get(key, _MISSING)
-            if f is _MISSING:
-                f = memo[key] = rule(coeffs, ctx, None, x, j)
-            if f is not None:
-                total = f if total is None else total * f
-            yield MotzkinPath(m, tuple(walked[:i])), 1 if total is None else _present(total)
-            continue
-        for step, dx, dy in moves if j >= 0 else climb:
-            nx, nj = x + dx, j + dy
-            if nx > k or abs(n - nj) > k - nx or (nj < 0 and not dips):
-                continue
-            push((x, j, i, ctx, total, step))
+    for _, weight, strict, i in _walk(table, m, n, k, k, m + k + 1, dips, walked):
+        if strict is None:
+            raise weight
+        yield MotzkinPath(m, tuple(walked[:i])), weight
 
 
 def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[int], Factor], int]:
@@ -459,8 +440,6 @@ def _cached_table(owner: object, name: str, partner: object, build: Callable[[],
 # -- the monic table --------------------------------------------------------
 
 def _monic_rule(c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
-    if step == ACROSS2:  # met only by monic_listing(..., allow_hh=True)
-        raise ValueError("monic weights are defined on plain paths only")
     b, lam = c
     own = b[j] - b[x] if step == ACROSS else None
     if ctx is None:
@@ -842,18 +821,13 @@ def mixed_census(
 
 
 def monic_listing(
-    m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec,
-    allow_hh: bool = False, boundary_dips: bool = False,
+    m: int, n: int, k: int, b: SequenceSpec, lam: SequenceSpec, boundary_dips: bool = False,
 ) -> Iterator[Tuple[MotzkinPath, Scalar]]:
     """(path, ``path_weight_monic(path, b, lam)``) for every path of
-    ``enumerate_paths(m, n, k, allow_hh, boundary_dips)``, in its order,
-    from one walk (see ``_listing``); a path with an HH raises
-    ``path_weight_monic``'s ValueError."""
+    ``enumerate_paths(m, n, k, boundary_dips=boundary_dips)``, in its
+    order, from one walk (see ``_listing``)."""
     check_instance(m, n, k)
-    if allow_hh and boundary_dips:
-        raise ValueError("boundary dips only apply to plain paths")
-    steps = _GENERALIZED if allow_hh else _PLAIN
-    return _listing(_monic_table(b, lam), m, n, k, steps, boundary_dips)
+    return _listing(_monic_table(b, lam), m, n, k, boundary_dips)
 
 
 def mixed_listing(
@@ -864,7 +838,7 @@ def mixed_listing(
     ``merged``) for every generalized path (0, m) -> (k, n), in
     ``enumerate_paths``' order, from one walk (see ``_listing``)."""
     check_instance(m, n, k)
-    return _listing(_two_family_table(sys, sys_prime, merged), m, n, k, _GENERALIZED, False)
+    return _listing(_two_family_table(sys, sys_prime, merged), m, n, k, False)
 
 
 def dp_walk(

@@ -448,6 +448,25 @@ def test_paths_system_prime_without_system_points_to_generalized(capsys):
     assert "--generalized" in err
 
 
+@pytest.mark.parametrize("system", [MONOTONE_MONIC, "/nonexistent/system.json"],
+                         ids=["shipped", "missing"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_paths_generalized_with_one_system_is_rejected_at_every_k(capsys, system, k):
+    # monic weights have no HH step; the rule is checked before the file is opened
+    code, out, err = run(capsys, "paths", "--m", 0, "--n", 0, "--k", k, "--generalized",
+                         "--system", system)
+    assert (code, out, err) == (2, "", "error: monic weights are defined on plain paths only\n")
+
+
+@pytest.mark.parametrize("method", ["mixed", "merged"])
+@pytest.mark.parametrize("system", [(), ("--system", MONOTONE_MONIC)], ids=["unweighted", "monic"])
+def test_paths_method_needs_system_prime(capsys, method, system):
+    code, out, err = run(capsys, "paths", "--m", 1, "--n", 1, "--k", 2, *system,
+                         "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--system-prime" in err
+
+
 def test_paths_longer_than_the_recursion_limit_are_enumerated(capsys):
     code, out, err = run(capsys, "paths", "--m", "0", "--n", "1200", "--k", "1200")
     assert (code, err) == (0, "")

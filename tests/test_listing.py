@@ -8,10 +8,10 @@ the per-path public API, which stays the reference: its rows are
 table (boundary dips on and off), the mixed table and the merged table,
 on every shipped system or pair, on Hypothesis-drawn rational systems and
 on ``symbolic_monic.json``.  Where the per-path loop raises (an index past
-a short sequence, symbolic meeting non-integer scalars, an HH path under
-monic weights), the walk yields the same rows first and then raises the
-same error with the same message; on the command line, ``paths`` and
-``positivity`` keep the exit code and stderr they had before the walk.
+a short sequence, symbolic meeting non-integer scalars), the walk yields
+the same rows first and then raises the same error with the same message;
+on the command line, ``paths`` and ``positivity`` keep the exit code and
+stderr they had before the walk.
 """
 
 import json
@@ -60,13 +60,13 @@ def rows_and_error(rows):
     return out, None
 
 
-def check_monic(b, lam, instances, allow_hh=False):
+def check_monic(b, lam, instances):
     for m, n, k in instances:
-        for dips in ((False,) if allow_hh else (False, True)):
+        for dips in (False, True):
             want = rows_and_error(
                 (p, path_weight_monic(p, b, lam))
-                for p in enumerate_paths(m, n, k, allow_hh=allow_hh, boundary_dips=dips))
-            got = rows_and_error(monic_listing(m, n, k, b, lam, allow_hh, dips))
+                for p in enumerate_paths(m, n, k, boundary_dips=dips))
+            got = rows_and_error(monic_listing(m, n, k, b, lam, dips))
             assert got == want, (m, n, k, dips)
 
 
@@ -130,10 +130,6 @@ def test_a_short_system_raises_at_the_first_path_that_does(length):
 
 
 def test_an_hh_path_under_monic_weights_raises_where_the_fold_does():
-    b, lam = monic_b_lambda(shipped("monotone_monic"), 20)
-    check_monic(b, lam, instances(4), allow_hh=True)
-    with pytest.raises(ValueError, match="boundary dips only apply to plain paths"):
-        monic_listing(0, 0, 2, b, lam, allow_hh=True, boundary_dips=True)
     with pytest.raises(ValueError, match="levels and length must be nonnegative"):
         mixed_listing(0, -1, 2, shipped("monotone"), shipped("monotone"))
 

@@ -176,6 +176,21 @@ def test_verify_walks_each_census_and_dp_once_per_m_n(capsys, monkeypatch):
     assert len(dps) == 2 * 3 ** 2
 
 
+def test_one_prefix_walk_feeds_every_census_and_listing(capsys, monkeypatch):
+    walks = counting(monkeypatch, weights_mod, "_walk")
+    verify_records(capsys, 2)
+    # the census of each (method, m, n)
+    assert len(walks) == 2 * 3 ** 2
+    del walks[:]
+    assert run(capsys, "symbolic", "--m", "2", "--n", "2", "--k", "4")[0] == 0
+    assert len(walks) == 1
+    del walks[:]
+    code, _ = run(capsys, "positivity", "--m", "1", "--n", "2", "--k", "3",
+                  "--system", MONOTONE, "--system-prime", MONOTONE_PRIME)
+    assert code == 0
+    assert len(walks) == 1
+
+
 def test_one_oracle_expansion_serves_every_target(capsys, monkeypatch):
     products = counting(monkeypatch, oracle_mod, "expand_product")
     mixed = counting(monkeypatch, oracle_mod, "mixed_expand")
