@@ -520,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--generalized", action="store_true",
-                   help="include the two-unit across step")
+                   help="include the two-unit across step; the two-family listing "
+                        "(--system-prime) always does")
     # the two-family weights, mixed unless given; only with --system-prime
     p.add_argument("--method", choices=("mixed", "merged"))
 

@@ -109,29 +109,39 @@ def _step(
         fx = common // (den * scale) * a.denominator
         b = b.numerator * (common // (den * b.denominator)) * a.denominator
         g = g.numerator * (common // (prev[1] * g.denominator)) * a.denominator
+    # each term goes into ``out`` where it is made, in the order above; an
+    # entry that cancels is dropped at once, so a later term for it enters
+    # at the end
     out: Dict[int, Scalar] = {}
-    get = out.get
-
-    def acc(t: int, value: Scalar) -> None:
-        new = get(t, 0) + value
-        if new == 0:
-            out.pop(t, None)
-        else:
-            out[t] = new
-
+    get, pop = out.get, out.pop
     for t, c in nums.items():
         if fx != 1:
             c = c * fx
-        acc(t + 1, c * alpha[t + 1])
-        acc(t, c * beta[t])
-        if t >= 1:
-            acc(t - 1, c * gamma[t - 1])
-    if b != 0:
-        for t, c in nums.items():
-            acc(t, -(c * b))
-    if g != 0:
-        for t, c in prev[0].items():
-            acc(t, -(c * g))
+        up, down = t + 1, t - 1
+        new = get(up, 0) + c * alpha[up]
+        if new:
+            out[up] = new
+        else:
+            pop(up, None)
+        new = get(t, 0) + c * beta[t]
+        if new:
+            out[t] = new
+        else:
+            pop(t, None)
+        if t:
+            new = get(down, 0) + c * gamma[down]
+            if new:
+                out[down] = new
+            else:
+                pop(down, None)
+    for vec, by in ((nums, b), (prev[0], g)):
+        if by != 0:
+            for t, c in vec.items():
+                new = get(t, 0) - c * by
+                if new:
+                    out[t] = new
+                else:
+                    pop(t, None)
     if not numeric:
         if not out and a == 0:
             raise ValueError("division by zero coefficient")

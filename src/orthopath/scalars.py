@@ -507,7 +507,7 @@ def indet(family: str, index: int) -> Poly:
 # -- parsing ------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^([a-z]+'?)(\d+)(?:\^(\d+))?$")
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -518,10 +518,14 @@ def parse_rational(text: str) -> Fraction:
     digit separator.
     """
     text = text.strip()
-    if not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match:
         raise ValueError(f"rationals must be decimal-free 'p/q' strings: {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"rational has a zero denominator: {text!r}") from None
 

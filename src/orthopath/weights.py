@@ -11,43 +11,49 @@ their combinatorial proofs:
 Weight tables
 -------------
 
-Each weight system is one table: a rule that gives an edge's factor from
-the context the previous step left, the step, and the edge's start
-vertex (x, level).  Everything else is derived from the tables: the
-per-path fold behind ``path_weight_*``, the transfer-matrix DP behind
-``dp_sum``, the monomial choices of ``make_term`` and ``expand_choices``,
-and the certificate formula text of ``monic_formula``.  The first edge
-sees no context; after the last edge the rule is asked once more, with
-no step, for a closing factor.
+Each weight system is one table: a list of tagged monomials, each naming
+the step it weighs and the contexts it applies to, where the context is
+what the previous step left.  An edge's factor is the sum, in listed
+order, of the monomials of its step that apply in its context, evaluated
+at the edge's start vertex (x, level).  Everything else is derived from
+the lists: the per-path fold behind ``path_weight_*``, the
+transfer-matrix DP behind ``dp_sum``, the monomial choices of
+``make_term`` and ``expand_choices``, and the certificate formula text of
+``monic_formula``.  The first edge sees no context; after the last edge
+the monomials of the step "end" give a closing factor.  A monomial of
+value 1 is the unit, which is never multiplied.
 
-Monic (context: "the previous step was D"), for an edge at (x, j):
+Monic (context D: "the previous step was D"), for an edge at (x, j):
 
-    H                     (b[j] - b[x])
-    U                     1
-    D                     1; its factor is paid by its follower:
-    after a D: U          (lam[j+1] - lam[x])
-               H          lam[j+1] * (b[j] - b[x])
-               D          lam[j+1]
-               the end    lam[j+1]
+    step  context  tag    monomial
+    H     none     H      (b[j] - b[x])
+          D        H:l    lam[j+1] * (b[j] - b[x])
+    U     none     U      1
+          D        U:l    (lam[j+1] - lam[x])
+    D     none     D      1
+          D        D:l    lam[j+1]
+    end   none     end    1
+          D        end:l  lam[j+1]
 
-so a D at (i, j) contributes (lam[j] - lam[i+1]) when a U follows it
-and lam[j] otherwise.  The table reads lam[0] as 0, which makes the
-boundary dip (a D,U from level 0, inserted by a merged domino) the
-ordinary D-then-U rule, -lam[x].
+so a D is paid by its follower, and a D at (i, j) contributes (lam[j] -
+lam[i+1]) when a U follows it and lam[j] otherwise.  The table reads
+lam[0] as 0, which makes the boundary dip (a D,U from level 0, inserted
+by a merged domino) the ordinary D-then-U rule, -lam[x].
 
-Two-family (context: the previous step if it was U or D); an edge's
-factor is the sum of its tagged monomials:
+Two-family (context: the previous step if it was U or D; "any" is every
+context, none included):
 
-    edge  tag     monomial
-    H     H       (beta[j] - beta'[x])
-    U     U:g     gamma[j]
-          U:-a'   -alpha'[x]                 after a D only
-    D     D:a     alpha[j]
-          D:-a'   -alpha'[x]                 after a U only
-    HH    HH:a    alpha[j] * alpha'[x+1]     at level j >= 1 only
-          HH:g    gamma[j] * alpha'[x+1]
-          HH:-a'  -alpha'[x] * alpha'[x+1]   after a U or D only
-          HH:-g'  -gamma'[x] * alpha'[x+1]
+    step  tag     monomial                   context
+    H     H       (beta[j] - beta'[x])       any
+    U     U:g     gamma[j]                   any
+          U:-a'   -alpha'[x]                 D
+    D     D:a     alpha[j]                   any
+          D:-a'   -alpha'[x]                 U
+    HH    HH:a    alpha[j] * alpha'[x+1]     any, at level j >= 1 only
+          HH:g    gamma[j] * alpha'[x+1]     any
+          HH:-a'  -alpha'[x] * alpha'[x+1]   U or D
+          HH:-g'  -gamma'[x] * alpha'[x+1]   any
+    end   end     1                          any
 
 (alpha[0] = 0 by the system convention, so HH:a does not exist at level
 0.)  The sign-reversing involution is four pairings (``_PAIRINGS``),
@@ -55,15 +61,17 @@ each of a marked HH choice with the U,D or D,U pair it splits into; the
 marked choices (U:-a', D:-a', HH:a, HH:g, HH:-a') are the HH choices and
 the last of each pair.  Merged: the fixed points, the same monomials with
 the marked tags dropped, so H (beta[j] - beta'[x]), U gamma[j], D alpha[j]
-and HH -gamma'[x] * alpha'[x+1], whatever the context.
+and HH -gamma'[x] * alpha'[x+1], whatever the context.  A dropped
+monomial is still evaluated, not added, so a merged edge raises the
+error its two-family edge raises.
 
-Count: every factor is 1, over plain paths.
+Count: one unit monomial, for every step and context, over plain paths.
 
 Each table is built once per system (or system pair) and kept on the
 instance, like ``materialize``: its coefficients extend on demand, and
 the per-path fold computes each factor once per (context, step, x,
-level).  The DP meets each factor once per call and reads the rule
-directly, so a long DP leaves no factors behind.
+level).  The DP evaluates the monomials itself, once per step and state
+level, so a long DP leaves no factors behind.
 
 One prefix walk
 ---------------
@@ -99,6 +107,18 @@ with the same message.
 
 Fraction-free DP
 ----------------
+
+The DP (``_dp``) walks the x layers in order.  A state is a level of a
+layer, holding one accumulator per context: the sum, over the paths that
+reach it in that context, of their products so far.  Out of a level each
+step evaluates its monomials once, sums those that apply to the same
+contexts, multiplies that sum once by the sum of those contexts'
+accumulators, and adds one value into the target state, in the context
+the step leaves.  So a two-family level that three contexts reach pays
+one multiplication for H rather than three, and every monomial is
+evaluated once per level rather than once per context.  The monic table
+gives each monomial one context, so there the work is what charging each
+context on its own would be.
 
 Every factor is homogeneous in the coefficients when each two-family
 sequence has degree 1, and monic b degree 1 and lam degree 2 (the
@@ -173,36 +193,102 @@ class PathSumResult(Record):
 # multiplying by 1, which is not free for polynomials.  The step None asks
 # for the closing factor at the path's end.
 Factor = Optional[Scalar]
-Rule = Callable[[tuple, Optional[str], Optional[str], int, int], Factor]
+Value = Callable[[tuple, int, int], Scalar]  # (coefficients, x, level) -> value
 
 _PLAIN = (UP, DOWN, ACROSS)
 _GENERALIZED = (UP, DOWN, ACROSS, ACROSS2)
 _MISSING = object()
 
 
-class _Table:
-    """One weight system: its rule (coefficients, context, step, x, level)
-    -> factor, the degree of each coefficient sequence in the grading, the
-    steps it admits, and the context each step leaves."""
+class _Monomial(Record):
+    """One tagged monomial of a weight table: the steps it weighs (None:
+    the closing factor), the contexts it applies to, the lowest level it
+    exists at (levels start at -1, a boundary dip), and its value from the
+    table's coefficients at the edge's start (x, level); a value of None
+    is the unit."""
 
-    def __init__(self, rule: Rule, materialize: Callable[[int], tuple],
+    __slots__ = _fields = ("tag", "steps", "contexts", "value", "floor")
+
+    def __init__(self, tag: str, steps: tuple, contexts: tuple, value: Optional[Value],
+                 floor: int = -1) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "floor", floor)
+
+
+class _Table:
+    """One weight system: its monomials, the degree of each coefficient
+    sequence in the grading, the steps it admits, and the context each step
+    leaves.  Its contexts are None and every context a step leaves.
+
+    A unit monomial is alone among the monomials of its step and context,
+    and every step has a monomial in every context."""
+
+    def __init__(self, monomials: Tuple[_Monomial, ...], materialize: Callable[[int], tuple],
                  degrees: Tuple[int, ...], steps: Tuple[str, ...],
-                 leaves: Dict[str, str], dips: bool = False) -> None:
-        self.rule = rule
-        self.materialize = materialize  # top -> the rule's coefficients
+                 leaves: Dict[str, str], dips: bool = False,
+                 dropped: frozenset = frozenset()) -> None:
+        self.materialize = materialize  # top -> the monomials' coefficients
         self.degrees = degrees  # one per coefficient sequence
         self.steps = steps
         self.leaves = leaves  # step -> the context it leaves; others leave None
         self.dips = dips  # admit D,U excursions from level 0
+        self.dropped = dropped  # tags evaluated, and so able to raise, but not added
+        self.contexts = (None,) + tuple(dict.fromkeys(leaves.values()))
+        # (step, context) -> the monomials that apply, in listed order
+        self.applies = {
+            (step, ctx): tuple(mono for mono in monomials
+                               if step in mono.steps and ctx in mono.contexts)
+            for step in steps + (None,) for ctx in self.contexts
+        }
+        # the DP's: each step as (step, dx, dy, the context index it leaves,
+        # charges, checks).  A charge is the index in ``sets`` of some
+        # contexts and the (floor, value) of each monomial added that applies
+        # to exactly those contexts, none for the unit; a check is a dropped
+        # monomial's (set index, floor, value).
+        index = {ctx: i for i, ctx in enumerate(self.contexts)}
+        sets: Dict[tuple, int] = {}
+        self.plan = []
+        for step in steps:
+            charges: Dict[int, list] = {}
+            checks = []
+            for mono in monomials:
+                if step in mono.steps:
+                    which = sets.setdefault(tuple(index[ctx] for ctx in mono.contexts), len(sets))
+                    if mono.tag in dropped:
+                        checks.append((which, mono.floor, mono.value))
+                        continue
+                    values = charges.setdefault(which, [])
+                    if mono.value is not None:
+                        values.append((mono.floor, mono.value))
+            self.plan.append((step, _DX[step], _DY[step], index[leaves.get(step)],
+                              tuple((which, tuple(v)) for which, v in charges.items()),
+                              tuple(checks)))
+        self.climb = [entry for entry in self.plan if entry[0] == UP]  # out of a dip
+        self.sets = tuple(sets)
         self.covered: Tuple[int, tuple] = (-1, ())
         self.factors: Dict[tuple, Factor] = {}  # the fold's, by (ctx, step, x, level)
 
     def coefficients(self, top: int) -> tuple:
-        """The rule's coefficients over indices 0..top (or more)."""
+        """The monomials' coefficients over indices 0..top (or more)."""
         covered, coeffs = self.covered
         if covered < top:
             covered, coeffs = self.covered = (top, self.materialize(top))
         return coeffs
+
+    def factor(self, c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
+        """The factor of an edge: the sum, in listed order, of the monomials
+        of ``step`` that apply in context ``ctx`` at level j, each evaluated
+        before any is added; None for the unit."""
+        values = [(mono.tag, None if mono.value is None else mono.value(c, x, j))
+                  for mono in self.applies[step, ctx] if j >= mono.floor]
+        total: Factor = None
+        for tag, value in values:
+            if tag not in self.dropped:
+                total = value if total is None else total + value
+        return total
 
 
 def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
@@ -211,7 +297,7 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     outside a short sequence raises its range error here, as a product
     with it would."""
     coeffs = table.coefficients(top)
-    rule, leaves, memo = table.rule, table.leaves, table.factors
+    factor, leaves, memo = table.factor, table.leaves, table.factors
     total: Factor = None
     ctx: Optional[str] = None
     x, j = 0, path.start
@@ -219,7 +305,7 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
         key = (ctx, step, x, j)
         f = memo.get(key, _MISSING)
         if f is _MISSING:
-            f = memo[key] = rule(coeffs, ctx, step, x, j)
+            f = memo[key] = factor(coeffs, ctx, step, x, j)
         if f is not None:
             total = f if total is None else total * f
         if step is not None:
@@ -277,7 +363,7 @@ def _walk(
     lone placeholder yields the error ``_fold`` raises for it.
     """
     coeffs = table.coefficients(bound)
-    rule, memo = table.rule, table.factors
+    factor, memo = table.factor, table.factors
     moves = [(step, _DX[step], _DY[step], table.leaves.get(step))
              for step in reversed(table.steps)]
     climb = [(UP, 1, 1, table.leaves.get(UP))]  # out of a dip
@@ -299,7 +385,7 @@ def _walk(
             try:
                 f = memo.get(key, _MISSING)
                 if f is _MISSING:
-                    f = memo[key] = rule(coeffs, ctx, None, x, j)
+                    f = memo[key] = factor(coeffs, ctx, None, x, j)
                 weight = total if f is None else f if total is None else total * f
                 weight = 1 if weight is None else _present(weight)
             except _DEFERRED as exc:
@@ -314,7 +400,7 @@ def _walk(
             try:
                 f = memo.get(key, _MISSING)
                 if f is _MISSING:
-                    f = memo[key] = rule(coeffs, ctx, step, x, j)
+                    f = memo[key] = factor(coeffs, ctx, step, x, j)
                 value = total if f is None else f if total is None else total * f
             except _DEFERRED as exc:
                 push((nx + abs(n - nj), None, None, None, exc, None, None))
@@ -383,43 +469,119 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[
     """Sum of the fold over every path (0, m) -> (k, n) the table admits,
     for every k <= top, in the integer form: (k -> length k's total, D).
 
-    The state is (level, context) per x layer; HH jumps two layers.
+    The states of an x layer are its levels, each with one accumulator per
+    context (a list, None where no path arrives); HH jumps two layers.
     States that cannot reach level n within length top are dropped, and a
     dip below the axis (level -1, only when the table admits dips) must
-    climb back at once, as in ``enumerate_paths``.  Layer k's states at
-    level n, closed when length k is read, give its total.
+    climb back at once, as in ``enumerate_paths``.  A step out of a level
+    evaluates each of its monomials once, sums those that apply to the same
+    contexts, multiplies that sum once by the sum of those contexts'
+    accumulators, and adds one value into its target state.  Layer k's
+    state at level n, closed context by context when length k is read,
+    gives its total.
 
-    The rule runs on the coefficients over indices 0..bound as
+    A step is charged all at once or not at all.  If charging it raises, it
+    is charged again context by context, as the fold charges an edge, with
+    the layer's (level, context) states in the order they were first
+    reached, once the layer's other steps are done; so an error is kept
+    for the same lengths, and each length keeps the first error raised
+    there, as when every context was charged on its own.
+
+    The monomials run on the coefficients over indices 0..bound as
     ``systems._scaled`` gives them, integers over one denominator D (over 1
     when a ``Poly`` appears).  A path of length k has one degree in the
     grading, so the caller divides length k's total by D to it; a total is
     None where no path exists.
     """
     coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
-    rule, leaves, steps, dips = table.rule, table.leaves, table.steps, table.dips
-    layers = _Lengths([{} for _ in range(top + 1)])
+    factor, contexts, sets, dips = table.factor, table.contexts, table.sets, table.dips
+    width = len(contexts)
+    layers = _Lengths([{} for _ in range(top + 1)])  # level -> accumulators
+    reached: List[List[Tuple[int, int]]] = [[] for _ in range(top + 1)]
+
+    def deposit(nx: int, nj: int, into: int, value: Scalar) -> None:
+        target = layers.values[nx]
+        accs = target.get(nj)
+        if accs is None:
+            accs = target[nj] = [None] * width
+        prev = accs[into]
+        if prev is None:
+            reached[nx].append((nj, into))
+            accs[into] = value
+        else:
+            accs[into] = prev + value
+
     if abs(n - m) <= top:
-        layers.values[0][(m, None)] = 1
+        deposit(0, m, 0, 1)
     for x, layer in enumerate(layers.values):
-        for (j, ctx), acc in layer.items():
-            for step in steps if j >= 0 else (UP,):
-                nx, nj = x + _DX[step], j + _DY[step]
+        failed = []
+        for j, accs in layer.items():
+            sums = None
+            for step, dx, dy, into, charges, checks in table.plan if j >= 0 else table.climb:
+                nx, nj = x + dx, j + dy
                 if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
                     continue
                 try:
-                    f = rule(coeffs, ctx, step, x, j)
-                    value = acc if f is None else acc * f
-                    target, key = layers.values[nx], (nj, leaves.get(step))
-                    prev = target.get(key)
-                    target[key] = value if prev is None else prev + value
-                except _DEFERRED as exc:
-                    layers.fail(exc, nx + abs(n - nj))
+                    if sums is None:
+                        found = []
+                        for members in sets:
+                            s = None
+                            for i in members:
+                                acc = accs[i]
+                                if acc is not None:
+                                    s = acc if s is None else s + acc
+                            found.append(s)
+                        sums = found
+                    # deposit(), inlined, with the charges added onto the
+                    # target's value
+                    target = layers.values[nx]
+                    slots = target.get(nj)
+                    prev = total = None if slots is None else slots[into]
+                    for which, monomials in charges:
+                        value = sums[which]
+                        if value is None:
+                            continue
+                        if monomials:  # none: the unit
+                            f = None
+                            for floor, mono in monomials:
+                                if j >= floor:
+                                    v = mono(coeffs, x, j)
+                                    f = v if f is None else f + v
+                            if f is None:
+                                continue
+                            value = value * f
+                        total = value if total is None else total + value
+                    for which, floor, mono in checks:
+                        if sums[which] is not None and j >= floor:
+                            mono(coeffs, x, j)
+                    if total is None:
+                        continue
+                    if slots is None:
+                        slots = target[nj] = [None] * width
+                    if prev is None:
+                        reached[nx].append((nj, into))
+                    slots[into] = total
+                except _DEFERRED:
+                    failed.append((j, step))
+        if failed:
+            again = set(failed)
+            for j, i in reached[x]:
+                ctx, acc = contexts[i], layer[j][i]
+                for step, dx, dy, into, _, _ in table.plan if j >= 0 else table.climb:
+                    if (j, step) in again:
+                        nx, nj = x + dx, j + dy
+                        try:
+                            f = factor(coeffs, ctx, step, x, j)
+                            deposit(nx, nj, into, acc if f is None else acc * f)
+                        except _DEFERRED as exc:
+                            layers.fail(exc, nx + abs(n - nj))
+        reached[x] = []
 
     def total(k: int) -> Factor:
         out: Factor = None
-        for (j, ctx), acc in layers[k].items():
-            if j == n:
-                f = rule(coeffs, ctx, None, k, j)
+        for i, acc in enumerate(layers[k].get(n, ())):
+            if acc is not None:
+                f = factor(coeffs, contexts[i], None, k, n)
                 value = acc if f is None else acc * f
                 out = value if out is None else out + value
         return out
@@ -439,19 +601,22 @@ def _cached_table(owner: object, name: str, partner: object, build: Callable[[],
 
 # -- the monic table --------------------------------------------------------
 
-def _monic_rule(c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
-    b, lam = c
-    own = b[j] - b[x] if step == ACROSS else None
-    if ctx is None:
-        return own
-    # the D before this edge started at level j + 1 and is paid here
-    if step == UP:
-        return lam[j + 1] - lam[x]
-    return lam[j + 1] if own is None else lam[j + 1] * own
+# c = (b, lam); the D before an edge in context D started at level j + 1
+# and is paid by that edge
+_MONIC = (
+    _Monomial("H", (ACROSS,), (None,), lambda c, x, j: c[0][j] - c[0][x]),
+    _Monomial("H:l", (ACROSS,), (DOWN,), lambda c, x, j: c[1][j + 1] * (c[0][j] - c[0][x])),
+    _Monomial("U", (UP,), (None,), None),
+    _Monomial("U:l", (UP,), (DOWN,), lambda c, x, j: c[1][j + 1] - c[1][x]),
+    _Monomial("D", (DOWN,), (None,), None),
+    _Monomial("D:l", (DOWN,), (DOWN,), lambda c, x, j: c[1][j + 1]),
+    _Monomial("end", (None,), (None,), None),
+    _Monomial("end:l", (None,), (DOWN,), lambda c, x, j: c[1][j + 1]),
+)
 
 
 def _monic(materialize: Callable[[int], tuple]) -> _Table:
-    return _Table(_monic_rule, materialize, (1, 2), _PLAIN, {DOWN: DOWN}, dips=True)
+    return _Table(_MONIC, materialize, (1, 2), _PLAIN, {DOWN: DOWN}, dips=True)
 
 
 def _monic_table(b: SequenceSpec, lam: SequenceSpec) -> _Table:
@@ -474,13 +639,14 @@ class _Name(str):
         return _Name(f"{self}*{other}")
 
 
-_FORMAL_MONIC = (_Name("b"), _Name("l"))
+# one for every call: its factor memo holds text fixed by each key
+_FORMULA_TABLE = _monic(lambda top: (_Name("b"), _Name("l")))
 
 
 def monic_formula(path: MotzkinPath) -> str:
     """The monic weight of a plain path as factored text over the names
     b{i} and l{i}, e.g. ``l2*(b1-b0)``; "1" when every factor is 1."""
-    return str(_fold(_monic(lambda top: _FORMAL_MONIC), path, 0))
+    return str(_fold(_FORMULA_TABLE, path, 0))
 
 
 def path_weight_monic(path: MotzkinPath, b: SequenceSpec, lam: SequenceSpec) -> Scalar:
@@ -554,54 +720,25 @@ _PAIRINGS = (
 _SPLIT = {(hh, after): (steps, pair) for hh, after, steps, pair in _PAIRINGS}
 _COLLAPSE = {pair: hh for hh, _, _, pair in _PAIRINGS}
 _MARKED = frozenset(tag for hh, _, _, pair in _PAIRINGS for tag in (hh, pair[-1]))
-_NEGATIVE = frozenset({U_APRIME, D_APRIME, HH_APRIME, HH_GPRIME})
 
 _TWO_FAMILY_LEAVES = {UP: UP, DOWN: DOWN}
+_ANY = (None, UP, DOWN)  # every two-family context
 
-
-def _monomials(
-    c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int
-) -> List[Tuple[str, Scalar]]:
-    """The tagged monomials of a two-family edge; none at the path's end."""
-    alpha, beta, gamma, alpha_p, beta_p, gamma_p = c
-    if step == ACROSS:
-        return [(H_ATOM, beta[j] - beta_p[x])]
-    if step == UP:
-        out = [(U_GAMMA, gamma[j])]
-        if ctx == DOWN:
-            out.append((U_APRIME, -alpha_p[x]))
-        return out
-    if step == DOWN:
-        out = [(D_ALPHA, alpha[j])]
-        if ctx == UP:
-            out.append((D_APRIME, -alpha_p[x]))
-        return out
-    if step == ACROSS2:
-        nxt = alpha_p[x + 1]
-        out = [(HH_ALPHA, alpha[j] * nxt)] if j >= 1 else []
-        out.append((HH_GAMMA, gamma[j] * nxt))
-        if ctx is not None:
-            out.append((HH_APRIME, -(alpha_p[x] * nxt)))
-        out.append((HH_GPRIME, -(gamma_p[x] * nxt)))
-        return out
-    return []
-
-
-def _sum_rule(keep: Callable[[str], bool]) -> Rule:
-    """The rule whose factor sums the monomials with tags ``keep`` admits."""
-
-    def rule(c, ctx, step, x, j):
-        total: Factor = None
-        for tag, value in _monomials(c, ctx, step, x, j):
-            if keep(tag):
-                total = value if total is None else total + value
-        return total
-
-    return rule
-
-
-_MIXED_RULE = _sum_rule(lambda tag: True)
-_MERGED_RULE = _sum_rule(lambda tag: tag not in _MARKED)
+# c = (alpha, beta, gamma, alpha', beta', gamma')
+_TWO_FAMILY = (
+    _Monomial(H_ATOM, (ACROSS,), _ANY, lambda c, x, j: c[1][j] - c[4][x]),
+    _Monomial(U_GAMMA, (UP,), _ANY, lambda c, x, j: c[2][j]),
+    _Monomial(U_APRIME, (UP,), (DOWN,), lambda c, x, j: -c[3][x]),
+    _Monomial(D_ALPHA, (DOWN,), _ANY, lambda c, x, j: c[0][j]),
+    _Monomial(D_APRIME, (DOWN,), (UP,), lambda c, x, j: -c[3][x]),
+    _Monomial(HH_ALPHA, (ACROSS2,), _ANY, lambda c, x, j: c[0][j] * c[3][x + 1], floor=1),
+    _Monomial(HH_GAMMA, (ACROSS2,), _ANY, lambda c, x, j: c[2][j] * c[3][x + 1]),
+    _Monomial(HH_APRIME, (ACROSS2,), (UP, DOWN), lambda c, x, j: -(c[3][x] * c[3][x + 1])),
+    _Monomial(HH_GPRIME, (ACROSS2,), _ANY, lambda c, x, j: -(c[5][x] * c[3][x + 1])),
+    _Monomial("end", (None,), _ANY, None),
+)
+# the choices whose monomial is written with a minus sign
+_NEGATIVE = frozenset(mono.tag for mono in _TWO_FAMILY if ":-" in mono.tag)
 
 
 def _two_family_table(
@@ -609,9 +746,8 @@ def _two_family_table(
 ) -> _Table:
     name = "merged_table" if merged else "mixed_table"
     return _cached_table(sys, name, sys_prime, lambda: _Table(
-        _MERGED_RULE if merged else _MIXED_RULE,
-        lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
-        (1,) * 6, _GENERALIZED, _TWO_FAMILY_LEAVES,
+        _TWO_FAMILY, lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
+        (1,) * 6, _GENERALIZED, _TWO_FAMILY_LEAVES, dropped=_MARKED if merged else frozenset(),
     ))
 
 
@@ -695,11 +831,13 @@ def _edge_monomials(
     path: MotzkinPath, sys: CoefficientSystem, sys_prime: CoefficientSystem
 ) -> List[Dict[str, Scalar]]:
     """Each edge's monomials by tag, read from the two-family table."""
-    c = _two_family_table(sys, sys_prime).coefficients(_two_family_top(path))
+    table = _two_family_table(sys, sys_prime)
+    c = table.coefficients(_two_family_top(path))
     out = []
     ctx: Optional[str] = None
     for x, j, step in path.edges():
-        out.append(dict(_monomials(c, ctx, step, x, j)))
+        out.append({mono.tag: mono.value(c, x, j)
+                    for mono in table.applies[step, ctx] if j >= mono.floor})
         ctx = _TWO_FAMILY_LEAVES.get(step)
     return out
 
@@ -790,11 +928,12 @@ def sign_involution(
 
 # -- dynamic-programming evaluation -----------------------------------------
 
-_COUNT = _Table(lambda *edge: None, lambda top: (), (), _PLAIN, {})
+_COUNT = _Table((_Monomial("1", _PLAIN + (None,), (None,), None),),
+                lambda top: (), (), _PLAIN, {})
 
 
 def _monic_bound(m: int, n: int, top: int) -> int:
-    """The largest index the monic rule reads on paths (0, m) -> (k, n),
+    """The largest index the monic monomials read on paths (0, m) -> (k, n),
     k <= top, and at least max(m, n, top)."""
     return max(m, n, top, (m + n + top) // 2 + 1)
 

@@ -129,7 +129,7 @@ def test_a_short_system_raises_at_the_first_path_that_does(length):
     assert raised > 0
 
 
-def test_an_hh_path_under_monic_weights_raises_where_the_fold_does():
+def test_mixed_listing_rejects_a_negative_level():
     with pytest.raises(ValueError, match="levels and length must be nonnegative"):
         mixed_listing(0, -1, 2, shipped("monotone"), shipped("monotone"))
 

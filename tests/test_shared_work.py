@@ -601,6 +601,15 @@ def test_listed_path_weights_are_pinned(capsys, case, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[case, fmt]
 
 
+@pytest.mark.parametrize("case, fmt", [key for key in sorted(LISTING_DIGESTS)
+                                       if key[0] in ("paths-mixed", "paths-merged")])
+def test_generalized_leaves_the_two_family_listing_as_it_is(capsys, case, fmt):
+    # the two-family listing is always over generalized paths
+    code, out = run(capsys, *LISTING_COMMANDS[case], "--generalized", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[case, fmt]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--max", "2", "--system", MONOTONE_MONIC, "--system-prime", MONOTONE_PRIME),
     ("positivity", "--max", "2", "--system", MONOTONE, "--system-prime", MONOTONE_PRIME),
