@@ -113,12 +113,29 @@ layer, holding one accumulator per context: the sum, over the paths that
 reach it in that context, of their products so far.  Out of a level each
 step evaluates its monomials once, sums those that apply to the same
 contexts, multiplies that sum once by the sum of those contexts'
-accumulators, and adds one value into the target state, in the context
-the step leaves.  So a two-family level that three contexts reach pays
-one multiplication for H rather than three, and every monomial is
-evaluated once per level rather than once per context.  The monic table
-gives each monomial one context, so there the work is what charging each
-context on its own would be.
+accumulators, and adds it into the target, in the context the step
+leaves.  So a two-family level that three contexts reach pays one
+multiplication for H rather than three, and every monomial is evaluated
+once per level rather than once per context.  The monic table gives each
+monomial one context, so there the work is what charging each context on
+its own would be.
+
+The layer pass (``_dp_layers``) does this a whole x layer at a time.  Its
+precondition: every coefficient over the index bound the DP reads is an
+``int`` in the scaled form below, with no placeholder and no ``Poly``
+(``systems._integral``, recorded when the coefficients are scaled), so
+that no charge can raise.  A layer is then one dense list per context
+over its window, the levels reachable from (0, m) that can still reach
+level n by length top, from level -1 when the table admits dips.  Each
+step is charged over the levels whose targets lie in the next window:
+its monomials are evaluated by ``map`` over those levels, the context
+sets' elementwise sums multiplied by them, and the products added into
+the target layer's slice, all in C-level passes rather than one Python
+iteration per state.  Merged's dropped monomials are skipped (on
+integers they cannot raise).  Every other input (a short sequence whose
+placeholder lies within the bound, or a table holding a ``Poly``) runs
+the per-state pass (``_dp_states``), which charges each state's steps on
+their own and keeps every error for the lengths it reaches.
 
 Every factor is homogeneous in the coefficients when each two-family
 sequence has degree 1, and monic b degree 1 and lam degree 2 (the
@@ -159,7 +176,8 @@ references.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, repeat, product as iter_product
+from operator import add, mul
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .paths import (
@@ -169,8 +187,8 @@ from .scalars import (
     DomainMismatchError, Poly, Record, RunningSum, Scalar, scalar_div, scalar_product, scalar_sum,
 )
 from .systems import (
-    CoefficientSystem, SequenceRangeError, SequenceSpec, _memo, _present, _scaled,
-    monic_b_lambda,
+    CoefficientSystem, SequenceRangeError, SequenceSpec, _integral, _memo, _present,
+    _scaled, monic_b_lambda,
 )
 
 
@@ -469,6 +487,133 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[
     """Sum of the fold over every path (0, m) -> (k, n) the table admits,
     for every k <= top, in the integer form: (k -> length k's total, D).
 
+    The monomials run on the coefficients over indices 0..bound as
+    ``systems._scaled`` gives them, integers over one denominator D (over 1
+    when a ``Poly`` appears).  A path of length k has one degree in the
+    grading, so the caller divides length k's total by D to it; a total is
+    None where no path exists.
+
+    When every coefficient over 0..bound is an ``int`` nothing can raise,
+    and ``_dp_layers`` charges each step across a whole x layer at once;
+    otherwise (a placeholder within reach, or a ``Poly``) ``_dp_states``
+    charges it level by level and keeps each error for the lengths it
+    reaches.  The two give equal totals wherever both apply.
+    """
+    coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
+    walk = _dp_layers if _integral(table) > bound else _dp_states
+    return walk(table, m, n, top, coeffs), den
+
+
+def _dp_layers(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callable[[int], Factor]:
+    """``_dp``'s totals on integer coefficients, one x layer at a time.
+
+    Layer x holds one dense list per context over its window (None until
+    a step arrives in that context): the levels reachable from (0, m) in x
+    steps that can still reach level n within length top, from level -1
+    when the table admits dips (where a path has just dipped and must
+    climb back).  Every level of a window is reached, so a length's total
+    is None exactly when n lies outside its window.
+
+    Each step of ``table.plan`` is charged across the levels whose target
+    lies in the target layer's window: its monomials are evaluated by
+    ``map`` over those levels from their floor up, the context sets'
+    elementwise sums are multiplied by them, and the products are added
+    into the target window's slice, all in C-level passes.  Merged's
+    dropped monomials are not evaluated: on integers they cannot raise.
+    A length is closed, context by context, when it is read.
+    """
+    contexts, sets = table.contexts, table.sets
+    bottom = -1 if table.dips else 0
+    windows = [(max(m - x, n - top + x, bottom), min(m + x, n + top - x)) for x in range(top + 1)]
+    layers = [[None] * len(contexts) if lo <= hi else None for lo, hi in windows]
+    if layers[0] is not None:
+        layers[0][0] = [1]
+    at = repeat(coeffs)  # endless, so every map of the walk can share it
+    for x, accs in enumerate(layers):
+        if accs is None:
+            continue
+        lo, hi = windows[x]
+        if not lo <= n <= hi:  # only the layers that hold level n are read
+            layers[x] = None
+        here = repeat(x)
+        # each context set's elementwise sum, None where no step arrived
+        sums: List[Optional[list]] = []
+        for members in sets:
+            s = None
+            for i in members:
+                acc = accs[i]
+                if acc is not None:
+                    s = acc if s is None else list(map(add, s, acc))
+            sums.append(s)
+        for step, dx, dy, into, charges, _ in table.plan:
+            nx = x + dx
+            if nx > top:
+                continue
+            tlo, thi = windows[nx]
+            a = lo if lo > tlo - dy else tlo - dy
+            b = hi if hi < thi - dy else thi - dy
+            if a < 0 and step != UP:  # only a climb leaves a dip
+                a = 0
+            if a > b:
+                continue
+            levels = range(a, b + 1)
+            total = None
+            for which, monomials in charges:
+                s = sums[which]
+                if s is None:
+                    continue
+                value = s[a - lo : b - lo + 1]
+                if monomials:  # none: the unit
+                    f = None
+                    for floor, mono in monomials:
+                        if floor <= a:
+                            v = map(mono, at, here, levels)
+                        elif floor <= b:  # none below the floor
+                            v = chain(repeat(0, floor - a),
+                                      map(mono, at, here, range(floor, b + 1)))
+                        else:
+                            continue
+                        f = v if f is None else map(add, f, v)
+                    if f is None:
+                        continue
+                    value = map(mul, value, f)
+                total = value if total is None else map(add, total, value)
+            if total is None:
+                continue
+            row = layers[nx]
+            target = row[into]
+            i, e = a + dy - tlo, b + dy - tlo + 1
+            if target is None:
+                row[into] = target = [0] * (thi - tlo + 1)
+                target[i:e] = total
+            else:
+                target[i:e] = map(add, target[i:e], total)
+    # each context's closing monomials that exist at level n, none for the unit
+    closing = [tuple(mono.value for mono in table.applies[None, ctx] if mono.value is not None
+                     and n >= mono.floor and mono.tag not in table.dropped)
+               for ctx in contexts]
+
+    def closed(k: int) -> Factor:
+        accs = layers[k]
+        if accs is None:
+            return None
+        out = 0
+        at_n = n - windows[k][0]
+        for acc, monomials in zip(accs, closing):
+            if acc is not None and acc[at_n]:
+                acc = acc[at_n]
+                for mono in monomials:
+                    out += acc * mono(coeffs, k, n)
+                if not monomials:
+                    out += acc
+        return out
+
+    return closed
+
+
+def _dp_states(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callable[[int], Factor]:
+    """``_dp``'s totals on any coefficients, state by state.
+
     The states of an x layer are its levels, each with one accumulator per
     context (a list, None where no path arrives); HH jumps two layers.
     States that cannot reach level n within length top are dropped, and a
@@ -486,14 +631,7 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[
     reached, once the layer's other steps are done; so an error is kept
     for the same lengths, and each length keeps the first error raised
     there, as when every context was charged on its own.
-
-    The monomials run on the coefficients over indices 0..bound as
-    ``systems._scaled`` gives them, integers over one denominator D (over 1
-    when a ``Poly`` appears).  A path of length k has one degree in the
-    grading, so the caller divides length k's total by D to it; a total is
-    None where no path exists.
     """
-    coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
     factor, contexts, sets, dips = table.factor, table.contexts, table.sets, table.dips
     width = len(contexts)
     layers = _Lengths([{} for _ in range(top + 1)])  # level -> accumulators
@@ -586,7 +724,7 @@ def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[
                 out = value if out is None else out + value
         return out
 
-    return total, den
+    return total
 
 
 def _cached_table(owner: object, name: str, partner: object, build: Callable[[], _Table]) -> _Table:
