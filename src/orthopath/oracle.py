@@ -26,14 +26,20 @@ its sign made positive, and then reduces the denominator and every
 numerator by their gcd, once per step.  Every divisor is checked there,
 before the step is computed, so a zero ``alpha'[j+1]`` is an error even
 where the vector cancels to nothing.  ``Fraction`` values are built only
-for the vectors and moments that callers read.
+for what callers read: the entries of a vector, a moment, and each
+L-value of a table.  A rational table reads its L-values off the
+prefix products G_t = gamma[0]...gamma[t-1] and A_t = alpha[1]...alpha[t]
+of the scaled coefficients its walk used, one ``Fraction`` num_t * G_t /
+(den * A_t) per target (D cancels: both products have t factors), where
+the plain rule multiplies each coefficient by ``norm_squared(t)``.
 
 When either system is symbolic, the numerators are the scalars themselves
 (``Poly`` or ``int``) over denominator 1, and each division by
 ``alpha'[j+1]`` is a ``scalar_div`` of every entry, so the step performs
 exactly the scalar operations of the plain recurrence, in the same order,
 and a mixed symbolic/numeric pair raises the same errors.  A zero divisor
-is checked in this domain too, where the vector is empty.
+is checked in this domain too, where the vector is empty.  Its tables
+keep the plain rule, coefficient times ``norm_squared(t)``.
 
 Each system keeps what the oracle has computed for it, in scaled form:
 the vectors p_m * q_j for j = 0, 1, ... (one run of the recurrence serves
@@ -45,11 +51,13 @@ the multiplication-by-x chain once.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, NamedTuple, Tuple
 
 from .scalars import Record, Scalar, format_scalar, scalar_div
-from .systems import CoefficientSystem, _scaled
+from .systems import CoefficientSystem, SequenceRangeError, _scaled
 
 BasisVector = Dict[int, Scalar]
 
@@ -240,16 +248,35 @@ class LinearizationTable(Record):
         ]
 
 
-def _table(vec: BasisVector, sys: CoefficientSystem) -> LinearizationTable:
+def _table(vec: _Scaled, sys: CoefficientSystem, numeric: bool) -> LinearizationTable:
+    """The table of a scaled vector over the p-basis of ``sys``.  A numeric
+    vector's L-values are read off the prefix products G_t and A_t of the
+    system's scaled gamma and alpha: num_t * G_t / (den * A_t), one
+    ``Fraction`` for each target."""
+    nums, den = vec
+    if not nums:
+        return LinearizationTable({})
     # fill interior zeros so the table reads contiguously over the support
-    if vec:
-        lo, hi = min(vec), max(vec)
-        targets = range(lo, hi + 1)
-    else:
-        targets = range(0)
-    entries = {
-        t: (vec.get(t, 0), vec.get(t, 0) * sys.norm_squared(t)) for t in targets
-    }
+    targets = range(min(nums), max(nums) + 1)
+    if not numeric:
+        return LinearizationTable(
+            {t: (nums.get(t, 0), nums.get(t, 0) * sys.norm_squared(t)) for t in targets})
+    top = targets[-1]
+    alpha, _, gamma, _, _ = _coefficients(sys, top, True)
+    try:
+        gammas = list(accumulate(gamma[:top], mul, initial=1))
+        alphas = list(accumulate(alpha[1 : top + 1], mul, initial=1))
+    except SequenceRangeError:
+        for t in targets:
+            sys.norm_squared(t)  # the first target whose norm raises, raises
+        raise
+    # A_t is a prefix product: zero at the last target when at any
+    if not alphas[top]:
+        raise ValueError("division by zero coefficient")
+    entries = {}
+    for t in targets:
+        c = nums.get(t, 0)
+        entries[t] = (_value(c, den), Fraction(c * gammas[t], den * alphas[t])) if c else (0, 0)
     return LinearizationTable(entries)
 
 
@@ -257,8 +284,7 @@ def expand_product(m: int, n: int, sys: CoefficientSystem) -> LinearizationTable
     """p_m * p_n = sum over k of a[m,n;k] p_k, straight from the recurrence."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    vec = _values(_product_vectors(m, n, sys, sys)[n])
-    return _table(vec, sys)
+    return _table(_product_vectors(m, n, sys, sys)[n], sys, not sys.is_symbolic)
 
 
 def connection_expand(
@@ -276,8 +302,8 @@ def mixed_expand(
     """p_m * p'_{k'} = sum over n of b[m,k';n] p_n."""
     if m < 0 or k_prime < 0:
         raise ValueError("indices must be nonnegative")
-    vec = _values(_product_vectors(m, k_prime, sys, sys_prime)[k_prime])
-    return _table(vec, sys)
+    vec = _product_vectors(m, k_prime, sys, sys_prime)[k_prime]
+    return _table(vec, sys, not (sys.is_symbolic or sys_prime.is_symbolic))
 
 
 def moments(n: int, sys: CoefficientSystem) -> Scalar:

@@ -5,7 +5,8 @@ checks: counting recurrences, a standalone recursive path enumerator,
 the moment transfer evaluation, the path/paving pair model that the
 merge identities are stated against, a plain dict-of-Fraction
 three-term recurrence for the oracle's expansions and moments, and the
-classical closed-form linearizations of He_n, U_n and monic Legendre P_n.
+classical closed-form linearizations of He_n, U_n, monic Legendre P_n,
+physicists' Hermite H_n and Chebyshev T_n, the last two with their norms.
 """
 
 from fractions import Fraction
@@ -148,6 +149,30 @@ def hermite_linearization(m, n):
 def chebyshev_u_linearization(m, n):
     """U_m * U_n = sum over j <= min(m, n) of U_{m+n-2j}, as {index: coefficient}."""
     return {m + n - 2 * j: 1 for j in range(min(m, n) + 1)}
+
+
+def hermite_h_linearization(m, n):
+    """Physicists' Hermite: H_m * H_n = sum over j <= min(m, n) of
+    C(m,j) C(n,j) 2^j j! H_{m+n-2j}, as {index: coefficient}."""
+    return {m + n - 2 * j: comb(m, j) * comb(n, j) * 2 ** j * factorial(j)
+            for j in range(min(m, n) + 1)}
+
+
+def hermite_h_norm(k):
+    """L(H_k^2) = 2^k k! under the moment functional with mu_0 = 1."""
+    return 2 ** k * factorial(k)
+
+
+def chebyshev_t_linearization(m, n):
+    """T_m * T_n = (T_{m+n} + T_{|m-n|}) / 2, as {index: coefficient}."""
+    out = {m + n: Fraction(1, 2)}
+    out[abs(m - n)] = out.get(abs(m - n), 0) + Fraction(1, 2)
+    return out
+
+
+def chebyshev_t_norm(k):
+    """L(T_0^2) = 1 and L(T_k^2) = 1/2 for k >= 1, with mu_0 = 1."""
+    return Fraction(1) if k == 0 else Fraction(1, 2)
 
 
 def legendre_lambda(n):
