@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from typing import Iterator, NamedTuple, Tuple, Union
 
 from .scalars import (
@@ -131,8 +131,7 @@ def _scaled(owner: object, seqs: tuple, degrees: Tuple[int, ...]) -> Tuple[tuple
     of every denominator: each value becomes its numerator times D to its
     sequence's degree over its denominator, and a placeholder stays one.
     If a ``Poly`` appears anywhere, the sequences come back unchanged over
-    D = 1.  Kept on ``owner`` for as long as ``seqs`` is the same object,
-    with the length of the prefix that ``_integral`` reads.
+    D = 1.  Kept on ``owner`` for as long as ``seqs`` is the same object.
     """
     memo = _memo(owner)
     entry = memo.get("scaled")
@@ -145,17 +144,8 @@ def _scaled(owner: object, seqs: tuple, degrees: Tuple[int, ...]) -> Tuple[tuple
                   for v in seq)
             for seq, scale in zip(seqs, (den ** d for d in degrees))
         )
-        prefix = min((next((i for i, v in enumerate(seq) if type(v) is not int), len(seq))
-                      for seq in scaled), default=inf)
-        entry = memo["scaled"] = (seqs, (scaled, den), prefix)
+        entry = memo["scaled"] = (seqs, (scaled, den))
     return entry[1]
-
-
-def _integral(owner: object) -> float:
-    """How many leading indices hold an ``int`` in every sequence of the
-    owner's last ``_scaled`` form: none of them is a placeholder or a
-    ``Poly``.  Infinite when there is no sequence."""
-    return _memo(owner)["scaled"][2]
 
 
 def _evaluate(seq: "SequenceSpec", i: int) -> Scalar:

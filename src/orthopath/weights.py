@@ -59,11 +59,9 @@ context, none included):
 0.)  The sign-reversing involution is four pairings (``_PAIRINGS``),
 each of a marked HH choice with the U,D or D,U pair it splits into; the
 marked choices (U:-a', D:-a', HH:a, HH:g, HH:-a') are the HH choices and
-the last of each pair.  Merged: the fixed points, the same monomials with
-the marked tags dropped, so H (beta[j] - beta'[x]), U gamma[j], D alpha[j]
-and HH -gamma'[x] * alpha'[x+1], whatever the context.  A dropped
-monomial is still evaluated, not added, so a merged edge raises the
-error its two-family edge raises.
+the last of each pair.  Merged: the fixed points, the two-family list
+without the marked tags, so H (beta[j] - beta'[x]), U gamma[j], D
+alpha[j] and HH -gamma'[x] * alpha'[x+1], whatever the context.
 
 Count: one unit monomial, for every step and context, over plain paths.
 
@@ -97,13 +95,17 @@ and ``paths --system``) read the listing (``monic_listing``,
 divides only the lengths it is asked for, and ``dp_sum`` is the walk to
 T = k read at k.
 
-A walk reads coefficients further ahead than a single path or instance
-does.  So an error it meets (an index past a short sequence, or symbolic
-and non-integer scalars meeting) comes up in the place of the paths it
-stops: the census keeps it for each length it reaches and raises it only
-when one of those is read, and the listing raises it after every earlier
-path, so both fail where a walk per instance, or a fold per path, did,
-with the same message.
+A walk can meet two errors: an index past a short sequence, or symbolic
+and non-integer scalars meeting.  Which lengths are safe from both is
+decided before a walk starts (``_safe_top``): those whose index bound
+(each table's ``bound``) lies before every sequence's first placeholder,
+and none when the coefficients hold both a ``Poly`` and a ``Fraction``.
+One walk to the safe length serves every length up to it and cannot
+raise.  A longer length is walked on its own when it is read, so it
+raises where a fold per path does, with the same message: the listing's
+walk reads each factor when its prefix is popped, so it raises after
+every earlier path, and the census folds every path of the length before
+it sums, as ``path_sum_*`` does.
 
 Fraction-free DP
 ----------------
@@ -120,22 +122,18 @@ once per level rather than once per context.  The monic table gives each
 monomial one context, so there the work is what charging each context on
 its own would be.
 
-The layer pass (``_dp_layers``) does this a whole x layer at a time.  Its
-precondition: every coefficient over the index bound the DP reads is an
-``int`` in the scaled form below, with no placeholder and no ``Poly``
-(``systems._integral``, recorded when the coefficients are scaled), so
-that no charge can raise.  A layer is then one dense list per context
-over its window, the levels reachable from (0, m) that can still reach
-level n by length top, from level -1 when the table admits dips.  Each
-step is charged over the levels whose targets lie in the next window:
-its monomials are evaluated by ``map`` over those levels, the context
-sets' elementwise sums multiplied by them, and the products added into
-the target layer's slice, all in C-level passes rather than one Python
-iteration per state.  Merged's dropped monomials are skipped (on
-integers they cannot raise).  Every other input (a short sequence whose
-placeholder lies within the bound, or a table holding a ``Poly``) runs
-the per-state pass (``_dp_states``), which charges each state's steps on
-their own and keeps every error for the lengths it reaches.
+The layer pass (``_dp_layers``) does this a whole x layer at a time, up
+to the safe length on a table that holds no ``Poly``, where every
+coefficient it reads is an ``int`` in the scaled form below.  A layer is
+one dense list per context over its window, the levels reachable from
+(0, m) that can still reach level n by length top, from level -1 when
+the table admits dips.  Each step is charged over the levels whose
+targets lie in the next window: its monomials are evaluated by ``map``
+over those levels, the context sets' elementwise sums multiplied by
+them, and the products added into the target layer's slice, all in
+C-level passes rather than one Python iteration per state.  A table
+holding a ``Poly``, and a length past the safe one, runs the per-state
+pass (``_dp_states``), which charges each state's steps on their own.
 
 Every factor is homogeneous in the coefficients when each two-family
 sequence has degree 1, and monic b degree 1 and lam degree 2 (the
@@ -177,18 +175,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat, product as iter_product
+from math import inf
 from operator import add, mul
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .paths import (
     _DX, _DY, ACROSS, ACROSS2, DOWN, UP, MotzkinPath, check_instance, enumerate_paths,
 )
-from .scalars import (
-    DomainMismatchError, Poly, Record, RunningSum, Scalar, scalar_div, scalar_product, scalar_sum,
-)
+from .scalars import Poly, Record, RunningSum, Scalar, scalar_div, scalar_product, scalar_sum
 from .systems import (
-    CoefficientSystem, SequenceRangeError, SequenceSpec, _integral, _memo, _present,
-    _scaled, monic_b_lambda,
+    CoefficientSystem, SequenceSpec, _OutOfRange, _memo, _present, _scaled, monic_b_lambda,
 )
 
 
@@ -238,22 +234,22 @@ class _Monomial(Record):
 
 class _Table:
     """One weight system: its monomials, the degree of each coefficient
-    sequence in the grading, the steps it admits, and the context each step
-    leaves.  Its contexts are None and every context a step leaves.
+    sequence in the grading, the steps it admits, the context each step
+    leaves, and the largest index its monomials read on paths (0, m) ->
+    (k, n), k <= top.  Its contexts are None and every context a step leaves.
 
     A unit monomial is alone among the monomials of its step and context,
     and every step has a monomial in every context."""
 
     def __init__(self, monomials: Tuple[_Monomial, ...], materialize: Callable[[int], tuple],
-                 degrees: Tuple[int, ...], steps: Tuple[str, ...],
-                 leaves: Dict[str, str], dips: bool = False,
-                 dropped: frozenset = frozenset()) -> None:
+                 degrees: Tuple[int, ...], steps: Tuple[str, ...], leaves: Dict[str, str],
+                 bound: Callable[[int, int, int], int], dips: bool = False) -> None:
         self.materialize = materialize  # top -> the monomials' coefficients
         self.degrees = degrees  # one per coefficient sequence
         self.steps = steps
         self.leaves = leaves  # step -> the context it leaves; others leave None
+        self.bound = bound  # (m, n, top) -> the largest index read
         self.dips = dips  # admit D,U excursions from level 0
-        self.dropped = dropped  # tags evaluated, and so able to raise, but not added
         self.contexts = (None,) + tuple(dict.fromkeys(leaves.values()))
         # (step, context) -> the monomials that apply, in listed order
         self.applies = {
@@ -262,49 +258,50 @@ class _Table:
             for step in steps + (None,) for ctx in self.contexts
         }
         # the DP's: each step as (step, dx, dy, the context index it leaves,
-        # charges, checks).  A charge is the index in ``sets`` of some
-        # contexts and the (floor, value) of each monomial added that applies
-        # to exactly those contexts, none for the unit; a check is a dropped
-        # monomial's (set index, floor, value).
+        # charges).  A charge is the index in ``sets`` of some contexts and
+        # the (floor, value) of each monomial that applies to exactly those
+        # contexts, none for the unit.
         index = {ctx: i for i, ctx in enumerate(self.contexts)}
         sets: Dict[tuple, int] = {}
         self.plan = []
         for step in steps:
             charges: Dict[int, list] = {}
-            checks = []
             for mono in monomials:
                 if step in mono.steps:
                     which = sets.setdefault(tuple(index[ctx] for ctx in mono.contexts), len(sets))
-                    if mono.tag in dropped:
-                        checks.append((which, mono.floor, mono.value))
-                        continue
                     values = charges.setdefault(which, [])
                     if mono.value is not None:
                         values.append((mono.floor, mono.value))
             self.plan.append((step, _DX[step], _DY[step], index[leaves.get(step)],
-                              tuple((which, tuple(v)) for which, v in charges.items()),
-                              tuple(checks)))
+                              tuple((which, tuple(v)) for which, v in charges.items())))
         self.climb = [entry for entry in self.plan if entry[0] == UP]  # out of a dip
         self.sets = tuple(sets)
         self.covered: Tuple[int, tuple] = (-1, ())
         self.factors: Dict[tuple, Factor] = {}  # the fold's, by (ctx, step, x, level)
 
     def coefficients(self, top: int) -> tuple:
-        """The monomials' coefficients over indices 0..top (or more)."""
+        """The monomials' coefficients over indices 0..top (or more).  Each
+        new set records whether it holds a ``Poly`` (``symbolic``) and its
+        ``reach``: how many leading indices hold no placeholder in any
+        sequence, none when a ``Poly`` and a ``Fraction`` both appear."""
         covered, coeffs = self.covered
         if covered < top:
             covered, coeffs = self.covered = (top, self.materialize(top))
+            kinds = {type(v) for seq in coeffs for v in seq}
+            self.symbolic = Poly in kinds
+            self.reach = 0 if self.symbolic and Fraction in kinds else min(
+                (next((i for i, v in enumerate(seq) if type(v) is _OutOfRange), len(seq))
+                 for seq in coeffs), default=inf)
         return coeffs
 
     def factor(self, c: tuple, ctx: Optional[str], step: Optional[str], x: int, j: int) -> Factor:
         """The factor of an edge: the sum, in listed order, of the monomials
-        of ``step`` that apply in context ``ctx`` at level j, each evaluated
-        before any is added; None for the unit."""
-        values = [(mono.tag, None if mono.value is None else mono.value(c, x, j))
-                  for mono in self.applies[step, ctx] if j >= mono.floor]
+        of ``step`` that apply in context ``ctx`` at level j; None for the
+        unit."""
         total: Factor = None
-        for tag, value in values:
-            if tag not in self.dropped:
+        for mono in self.applies[step, ctx]:
+            if mono.value is not None and j >= mono.floor:
+                value = mono.value(c, x, j)
                 total = value if total is None else total + value
         return total
 
@@ -332,111 +329,76 @@ def _fold(table: _Table, path: MotzkinPath, top: int) -> Scalar:
     return 1 if total is None else _present(total)
 
 
-# Errors a walk keeps for the lengths they reach: a coefficient index
-# outside its sequence, or symbolic and non-integer scalars meeting.
-_DEFERRED = (SequenceRangeError, DomainMismatchError)
-
-
-class _Lengths:
-    """One walk's results at every length k = 0..top.  An error met on the
-    way is kept for each length it reaches and raised when one of those is
-    read, so a walk over all lengths fails where a walk per length did."""
-
-    def __init__(self, values: list) -> None:
-        self.values = values
-        self.errors: Dict[int, Exception] = {}
-
-    def fail(self, exc: Exception, first: int, last: Optional[int] = None) -> None:
-        """Keep ``exc`` for the lengths first..last (default: to the top)."""
-        last = len(self.values) - 1 if last is None else last
-        for k in range(first, last + 1):
-            self.errors.setdefault(k, exc)
-
-    def __getitem__(self, k: int):
-        exc = self.errors.get(k)
-        if exc is not None:
-            raise exc
-        return self.values[k]
+def _safe_top(table: _Table, m: int, n: int, top: int) -> int:
+    """The longest length k <= top (-1 for none) at which a walk from (0, m)
+    to level n cannot raise: the table's index bound for k lies within its
+    reach (see ``_Table.coefficients``)."""
+    table.coefficients(table.bound(m, n, top))
+    while top >= 0 and table.bound(m, n, top) >= table.reach:
+        top -= 1
+    return top
 
 
 def _walk(
-    table: _Table, m: int, n: int, top: int, first: int, bound: int, dips: bool,
-    walked: List[Optional[str]],
+    table: _Table, m: int, n: int, top: int, first: int, dips: bool, walked: List[Optional[str]],
 ) -> Iterator[tuple]:
     """Every path (0, m) -> (x, n) the table admits, first <= x <= top, with
     boundary dips when ``dips``, in ``enumerate_paths``' order, as
     (x, weight, strict, i): the path's steps are ``walked[:i]``, its weight
     the product ``_fold`` gives it, closing factor included, and ``strict``
-    says that it never dips (False throughout when ``dips`` is).  An error
-    met is yielded in the place of the paths it stops, as (x, error, None,
-    last): it reaches the lengths x..last.
+    says that it never dips (False throughout when ``dips`` is).
 
     One depth-first walk over path prefixes on an explicit stack, so that
     no recursion limit bounds its depth, pruned to those that can still end
-    at level n within length top.  A prefix is pushed with its running
-    product, each factor read through the fold's memo when the prefix is
-    pushed and multiplied in the fold's order; a factor that raises pushes
-    its error in the place of the prefix, which is not extended, so errors
-    come up in the order of a recursive walk.  A path whose weight is a
-    lone placeholder yields the error ``_fold`` raises for it.
+    at level n within length top.  A prefix carries its running product;
+    its last factor is read through the fold's memo, and multiplied in the
+    fold's order, when the prefix is popped, so a factor that raises does
+    so where a recursive walk, and a fold per path, first meets it.
     """
-    coeffs = table.coefficients(bound)
+    coeffs = table.coefficients(table.bound(m, n, top))
     factor, memo = table.factor, table.factors
     moves = [(step, _DX[step], _DY[step], table.leaves.get(step))
              for step in reversed(table.steps)]
     climb = [(UP, 1, 1, table.leaves.get(UP))]  # out of a dip
-    # An entry is a prefix of i steps, the last of them ``step``, that ends
-    # at (x, j): the context it leaves, its product and its strictness; or,
-    # with strictness None, the error its last factor raised (in place of
-    # the context) and the first length it reaches (in place of x).
+    # An entry is a prefix of i steps that ends at (x, j): the key of its
+    # last factor, the context it leaves, the product before that factor
+    # and its strictness.
     stack: List[tuple] = [(0, m, 0, None, None, None, dips)] if abs(n - m) <= top else []
     push, pop = stack.append, stack.pop
     while stack:
-        x, j, i, step, ctx, total, strict = pop()
-        if strict is None:
-            yield x, ctx, None, top
-            continue
+        x, j, i, key, ctx, total, strict = pop()
         if i:
-            walked[i - 1] = step
+            walked[i - 1] = key[1]
+            f = memo.get(key, _MISSING)
+            if f is _MISSING:
+                f = memo[key] = factor(coeffs, *key)
+            if f is not None:
+                total = f if total is None else total * f
         if j == n and x >= first:
             key = (ctx, None, x, j)
-            try:
-                f = memo.get(key, _MISSING)
-                if f is _MISSING:
-                    f = memo[key] = factor(coeffs, ctx, None, x, j)
-                weight = total if f is None else f if total is None else total * f
-                weight = 1 if weight is None else _present(weight)
-            except _DEFERRED as exc:
-                yield x, exc, None, x
-            else:
-                yield x, weight, strict, i
+            f = memo.get(key, _MISSING)
+            if f is _MISSING:
+                f = memo[key] = factor(coeffs, *key)
+            weight = total if f is None else f if total is None else total * f
+            yield x, 1 if weight is None else _present(weight), strict, i
         for step, dx, dy, after in moves if j >= 0 else climb:
             nx, nj = x + dx, j + dy
             if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
                 continue
-            key = (ctx, step, x, j)
-            try:
-                f = memo.get(key, _MISSING)
-                if f is _MISSING:
-                    f = memo[key] = factor(coeffs, ctx, step, x, j)
-                value = total if f is None else f if total is None else total * f
-            except _DEFERRED as exc:
-                push((nx + abs(n - nj), None, None, None, exc, None, None))
-            else:
-                push((nx, nj, i + 1, step, after, value, strict and nj >= 0))
+            push((nx, nj, i + 1, (ctx, step, x, j), after, total, strict and nj >= 0))
 
 
-def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
-    """The sums of the fold over every path (0, m) -> (k, n) the table
-    admits, for every k <= top: [weight sum, strict sum] at each length,
-    where the strict sum is over the paths that never dip, kept for a table
-    that admits dips (0 otherwise).
+def _census(table: _Table, m: int, n: int, top: int) -> Callable[[int], Tuple[Scalar, Scalar]]:
+    """k -> the sums of the fold over every path (0, m) -> (k, n) the table
+    admits, for k <= top: (weight sum, strict sum), where the strict sum is
+    over the paths that never dip, kept for a table that admits dips (0
+    otherwise).
 
-    One ``_walk`` over every length: every path is its own term, and the
-    terms are added in ``enumerate_paths``' order.  An error the walk
-    meets is kept for the lengths it reaches.  A sum that raises is kept
-    behind any fold error of its length, since ``path_sum_*`` folds every
-    path before it sums.
+    One ``_walk`` to the safe length (``_safe_top``) serves every length up
+    to it: every path is its own term, and the terms are added in
+    ``enumerate_paths``' order.  A longer length is walked on its own when
+    it is read, and every path of it is folded before it sums, as
+    ``path_sum_*`` does, so it raises where that does.
 
     Over polynomial coefficients each sum is a ``RunningSum``, which adds a
     term into one dict, where ``+=`` would copy the whole sum on every
@@ -445,26 +407,25 @@ def _census(table: _Table, m: int, n: int, top: int, bound: int) -> _Lengths:
     against 18.0 s at ``--max 9`` (2-vCPU Xeon, CPython 3.11, alternating
     runs).  Numeric sums keep ``+=``.
     """
-    symbolic = any(type(v) is Poly for seq in table.coefficients(bound) for v in seq)
-    found = _Lengths([[RunningSum(), RunningSum()] if symbolic else [0, 0]
-                      for _ in range(top + 1)])
-    late: Dict[int, Exception] = {}
-    for x, weight, strict, last in _walk(table, m, n, top, 0, bound, table.dips, [None] * top):
-        if strict is None:
-            found.fail(weight, x, last)
-            continue
-        sums = found.values[x]
-        try:
-            sums[0] += weight
-            if strict:
-                sums[1] += weight
-        except _DEFERRED as exc:
-            late.setdefault(x, exc)
+    safe = _safe_top(table, m, n, top)
+    symbolic = table.symbolic
+    found = [[RunningSum(), RunningSum()] if symbolic else [0, 0] for _ in range(safe + 1)]
+    for x, weight, strict, _ in _walk(table, m, n, safe, 0, table.dips, [None] * safe):
+        sums = found[x]
+        sums[0] += weight
+        if strict:
+            sums[1] += weight
     if symbolic:
-        found.values = [[total.value, strict.value] for total, strict in found.values]
-    for k, exc in late.items():
-        found.fail(exc, k, k)
-    return found
+        found = [[total.value, strict.value] for total, strict in found]
+
+    def read(k: int) -> Tuple[Scalar, Scalar]:
+        if k <= safe:
+            return tuple(found[k])
+        paths = list(_walk(table, m, n, k, k, table.dips, [None] * k))
+        return (scalar_sum([weight for _, weight, _, _ in paths]),
+                scalar_sum([weight for _, weight, strict, _ in paths if strict]))
+
+    return read
 
 
 def _listing(
@@ -473,35 +434,34 @@ def _listing(
     """(path, fold) for every path (0, m) -> (k, n) the table admits,
     boundary dips admitted when ``dips``, in ``enumerate_paths``' order,
     from one ``_walk`` read at length k: a prefix's factors are multiplied
-    once for all the paths that share it.  The walk's first error is raised
-    where it comes up, after every earlier path, so at the first path whose
-    fold raises it, with the same message."""
+    once for all the paths that share it, and a factor that raises does so
+    after every earlier path, at the first path whose fold raises it."""
     walked: List[Optional[str]] = [None] * k
-    for _, weight, strict, i in _walk(table, m, n, k, k, m + k + 1, dips, walked):
-        if strict is None:
-            raise weight
+    for _, weight, _, i in _walk(table, m, n, k, k, dips, walked):
         yield MotzkinPath(m, tuple(walked[:i])), weight
 
 
-def _dp(table: _Table, m: int, n: int, top: int, bound: int) -> Tuple[Callable[[int], Factor], int]:
+def _dp(table: _Table, m: int, n: int, top: int) -> Tuple[Callable[[int], Factor], int]:
     """Sum of the fold over every path (0, m) -> (k, n) the table admits,
     for every k <= top, in the integer form: (k -> length k's total, D).
 
-    The monomials run on the coefficients over indices 0..bound as
-    ``systems._scaled`` gives them, integers over one denominator D (over 1
-    when a ``Poly`` appears).  A path of length k has one degree in the
-    grading, so the caller divides length k's total by D to it; a total is
-    None where no path exists.
+    The monomials run on the coefficients as ``systems._scaled`` gives
+    them, integers over one denominator D (over 1 when a ``Poly``
+    appears).  A path of length k has one degree in the grading, so the
+    caller divides length k's total by D to it; a total is None where no
+    path exists.
 
-    When every coefficient over 0..bound is an ``int`` nothing can raise,
-    and ``_dp_layers`` charges each step across a whole x layer at once;
-    otherwise (a placeholder within reach, or a ``Poly``) ``_dp_states``
-    charges it level by level and keeps each error for the lengths it
-    reaches.  The two give equal totals wherever both apply.
+    One walk to the safe length (``_safe_top``) serves every length up to
+    it and cannot raise: ``_dp_layers`` charges each step across a whole x
+    layer at once on a table that holds no ``Poly``, and ``_dp_states``
+    level by level on one that does.  A longer length runs ``_dp_states``
+    to it alone when it is read, as ``dp_sum`` does.  The two passes give
+    equal totals wherever both apply.
     """
-    coeffs, den = _scaled(table, table.coefficients(bound), table.degrees)
-    walk = _dp_layers if _integral(table) > bound else _dp_states
-    return walk(table, m, n, top, coeffs), den
+    safe = _safe_top(table, m, n, top)
+    coeffs, den = _scaled(table, table.coefficients(table.bound(m, n, top)), table.degrees)
+    shared = (_dp_states if table.symbolic else _dp_layers)(table, m, n, safe, coeffs)
+    return lambda k: shared(k) if k <= safe else _dp_states(table, m, n, k, coeffs)(k), den
 
 
 def _dp_layers(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callable[[int], Factor]:
@@ -518,15 +478,14 @@ def _dp_layers(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callab
     lies in the target layer's window: its monomials are evaluated by
     ``map`` over those levels from their floor up, the context sets'
     elementwise sums are multiplied by them, and the products are added
-    into the target window's slice, all in C-level passes.  Merged's
-    dropped monomials are not evaluated: on integers they cannot raise.
-    A length is closed, context by context, when it is read.
+    into the target window's slice, all in C-level passes.  A length is
+    closed, context by context, when it is read.
     """
     contexts, sets = table.contexts, table.sets
     bottom = -1 if table.dips else 0
     windows = [(max(m - x, n - top + x, bottom), min(m + x, n + top - x)) for x in range(top + 1)]
     layers = [[None] * len(contexts) if lo <= hi else None for lo, hi in windows]
-    if layers[0] is not None:
+    if layers and layers[0] is not None:
         layers[0][0] = [1]
     at = repeat(coeffs)  # endless, so every map of the walk can share it
     for x, accs in enumerate(layers):
@@ -545,7 +504,7 @@ def _dp_layers(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callab
                 if acc is not None:
                     s = acc if s is None else list(map(add, s, acc))
             sums.append(s)
-        for step, dx, dy, into, charges, _ in table.plan:
+        for step, dx, dy, into, charges in table.plan:
             nx = x + dx
             if nx > top:
                 continue
@@ -589,8 +548,8 @@ def _dp_layers(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callab
             else:
                 target[i:e] = map(add, target[i:e], total)
     # each context's closing monomials that exist at level n, none for the unit
-    closing = [tuple(mono.value for mono in table.applies[None, ctx] if mono.value is not None
-                     and n >= mono.floor and mono.tag not in table.dropped)
+    closing = [tuple(mono.value for mono in table.applies[None, ctx]
+                     if mono.value is not None and n >= mono.floor)
                for ctx in contexts]
 
     def closed(k: int) -> Factor:
@@ -624,96 +583,51 @@ def _dp_states(table: _Table, m: int, n: int, top: int, coeffs: tuple) -> Callab
     accumulators, and adds one value into its target state.  Layer k's
     state at level n, closed context by context when length k is read,
     gives its total.
-
-    A step is charged all at once or not at all.  If charging it raises, it
-    is charged again context by context, as the fold charges an edge, with
-    the layer's (level, context) states in the order they were first
-    reached, once the layer's other steps are done; so an error is kept
-    for the same lengths, and each length keeps the first error raised
-    there, as when every context was charged on its own.
     """
     factor, contexts, sets, dips = table.factor, table.contexts, table.sets, table.dips
     width = len(contexts)
-    layers = _Lengths([{} for _ in range(top + 1)])  # level -> accumulators
-    reached: List[List[Tuple[int, int]]] = [[] for _ in range(top + 1)]
-
-    def deposit(nx: int, nj: int, into: int, value: Scalar) -> None:
-        target = layers.values[nx]
-        accs = target.get(nj)
-        if accs is None:
-            accs = target[nj] = [None] * width
-        prev = accs[into]
-        if prev is None:
-            reached[nx].append((nj, into))
-            accs[into] = value
-        else:
-            accs[into] = prev + value
-
+    layers: List[Dict[int, list]] = [{} for _ in range(top + 1)]  # level -> accumulators
     if abs(n - m) <= top:
-        deposit(0, m, 0, 1)
-    for x, layer in enumerate(layers.values):
-        failed = []
+        layers[0][m] = [1] + [None] * (width - 1)
+    for x, layer in enumerate(layers):
         for j, accs in layer.items():
             sums = None
-            for step, dx, dy, into, charges, checks in table.plan if j >= 0 else table.climb:
+            for step, dx, dy, into, charges in table.plan if j >= 0 else table.climb:
                 nx, nj = x + dx, j + dy
                 if nx > top or abs(n - nj) > top - nx or (nj < 0 and not dips):
                     continue
-                try:
-                    if sums is None:
-                        found = []
-                        for members in sets:
-                            s = None
-                            for i in members:
-                                acc = accs[i]
-                                if acc is not None:
-                                    s = acc if s is None else s + acc
-                            found.append(s)
-                        sums = found
-                    # deposit(), inlined, with the charges added onto the
-                    # target's value
-                    target = layers.values[nx]
-                    slots = target.get(nj)
-                    prev = total = None if slots is None else slots[into]
-                    for which, monomials in charges:
-                        value = sums[which]
-                        if value is None:
-                            continue
-                        if monomials:  # none: the unit
-                            f = None
-                            for floor, mono in monomials:
-                                if j >= floor:
-                                    v = mono(coeffs, x, j)
-                                    f = v if f is None else f + v
-                            if f is None:
-                                continue
-                            value = value * f
-                        total = value if total is None else total + value
-                    for which, floor, mono in checks:
-                        if sums[which] is not None and j >= floor:
-                            mono(coeffs, x, j)
-                    if total is None:
+                if sums is None:
+                    sums = []
+                    for members in sets:
+                        s = None
+                        for i in members:
+                            acc = accs[i]
+                            if acc is not None:
+                                s = acc if s is None else s + acc
+                        sums.append(s)
+                # the charges are added onto the target's value
+                target = layers[nx]
+                slots = target.get(nj)
+                total = None if slots is None else slots[into]
+                for which, monomials in charges:
+                    value = sums[which]
+                    if value is None:
                         continue
-                    if slots is None:
-                        slots = target[nj] = [None] * width
-                    if prev is None:
-                        reached[nx].append((nj, into))
-                    slots[into] = total
-                except _DEFERRED:
-                    failed.append((j, step))
-        if failed:
-            again = set(failed)
-            for j, i in reached[x]:
-                ctx, acc = contexts[i], layer[j][i]
-                for step, dx, dy, into, _, _ in table.plan if j >= 0 else table.climb:
-                    if (j, step) in again:
-                        nx, nj = x + dx, j + dy
-                        try:
-                            f = factor(coeffs, ctx, step, x, j)
-                            deposit(nx, nj, into, acc if f is None else acc * f)
-                        except _DEFERRED as exc:
-                            layers.fail(exc, nx + abs(n - nj))
-        reached[x] = []
+                    if monomials:  # none: the unit
+                        f = None
+                        for floor, mono in monomials:
+                            if j >= floor:
+                                v = mono(coeffs, x, j)
+                                f = v if f is None else f + v
+                        if f is None:
+                            continue
+                        value = value * f
+                    total = value if total is None else total + value
+                if total is None:
+                    continue
+                if slots is None:
+                    slots = target[nj] = [None] * width
+                slots[into] = total
 
     def total(k: int) -> Factor:
         out: Factor = None
@@ -753,8 +667,14 @@ _MONIC = (
 )
 
 
+def _monic_bound(m: int, n: int, top: int) -> int:
+    """The largest index the monic monomials read on paths (0, m) -> (k, n),
+    k <= top, and at least max(m, n, top)."""
+    return max(m, n, top, (m + n + top) // 2 + 1)
+
+
 def _monic(materialize: Callable[[int], tuple]) -> _Table:
-    return _Table(_MONIC, materialize, (1, 2), _PLAIN, {DOWN: DOWN}, dips=True)
+    return _Table(_MONIC, materialize, (1, 2), _PLAIN, {DOWN: DOWN}, _monic_bound, dips=True)
 
 
 def _monic_table(b: SequenceSpec, lam: SequenceSpec) -> _Table:
@@ -879,13 +799,22 @@ _TWO_FAMILY = (
 _NEGATIVE = frozenset(mono.tag for mono in _TWO_FAMILY if ":-" in mono.tag)
 
 
+def _two_family_bound(m: int, n: int, top: int) -> int:
+    """The largest index the two-family monomials read on paths (0, m) ->
+    (k, n), k <= top: levels up to m + top, and x + 1."""
+    return m + top + 1
+
+
 def _two_family_table(
     sys: CoefficientSystem, sys_prime: CoefficientSystem, merged: bool = False
 ) -> _Table:
+    """The two-family table of the pair, or merged's: the same without the
+    marked monomials."""
     name = "merged_table" if merged else "mixed_table"
     return _cached_table(sys, name, sys_prime, lambda: _Table(
-        _TWO_FAMILY, lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
-        (1,) * 6, _GENERALIZED, _TWO_FAMILY_LEAVES, dropped=_MARKED if merged else frozenset(),
+        tuple(mono for mono in _TWO_FAMILY if not (merged and mono.tag in _MARKED)),
+        lambda top: (*sys.materialize(top), *sys_prime.materialize(top)),
+        (1,) * 6, _GENERALIZED, _TWO_FAMILY_LEAVES, _two_family_bound,
     ))
 
 
@@ -1067,13 +996,7 @@ def sign_involution(
 # -- dynamic-programming evaluation -----------------------------------------
 
 _COUNT = _Table((_Monomial("1", _PLAIN + (None,), (None,), None),),
-                lambda top: (), (), _PLAIN, {})
-
-
-def _monic_bound(m: int, n: int, top: int) -> int:
-    """The largest index the monic monomials read on paths (0, m) -> (k, n),
-    k <= top, and at least max(m, n, top)."""
-    return max(m, n, top, (m + n + top) // 2 + 1)
+                lambda top: (), (), _PLAIN, {}, lambda m, n, top: 0)
 
 
 def monic_census(
@@ -1083,8 +1006,7 @@ def monic_census(
     ``strict_monic_weight_sum(m, n, k, b, lam)``) for every k <= top, from
     one walk over the boundary-dip census (see ``_census``)."""
     check_instance(m, n, top)
-    found = _census(_monic_table(b, lam), m, n, top, _monic_bound(m, n, top))
-    return lambda k: tuple(found[k])
+    return _census(_monic_table(b, lam), m, n, top)
 
 
 def mixed_census(
@@ -1093,8 +1015,8 @@ def mixed_census(
     """k -> ``path_sum_mixed(m, n, k, sys, sys_prime).weight_sum`` for every
     k <= top, from one walk (see ``_census``)."""
     check_instance(m, n, top)
-    found = _census(_two_family_table(sys, sys_prime), m, n, top, m + top + 1)
-    return lambda k: found[k][0]
+    found = _census(_two_family_table(sys, sys_prime), m, n, top)
+    return lambda k: found(k)[0]
 
 
 def monic_listing(
@@ -1131,20 +1053,19 @@ def dp_walk(
     divided."""
     check_instance(m, n, top)
     if weights == "count":
-        table, bound, shift = _COUNT, 0, 0
+        table, shift = _COUNT, 0
     elif weights == "monic":
         if sys is None:
             raise ValueError("monic dp_sum needs a coefficient system")
-        bound = _monic_bound(m, n, top)
-        table, shift = _monic_table(*monic_b_lambda(sys, bound)), n - m
+        table = _monic_table(*monic_b_lambda(sys, _monic_bound(m, n, top)))
+        shift = n - m
     elif weights in ("mixed", "merged"):
         if sys is None or sys_prime is None:
             raise ValueError("two-family dp_sum needs both coefficient systems")
-        table = _two_family_table(sys, sys_prime, merged=(weights == "merged"))
-        bound, shift = m + top + 1, 0
+        table, shift = _two_family_table(sys, sys_prime, merged=(weights == "merged")), 0
     else:
         raise ValueError(f"unknown weight system {weights!r}")
-    total, den = _dp(table, m, n, top, bound)
+    total, den = _dp(table, m, n, top)
 
     def divided(k: int) -> Scalar:
         value = total(k)

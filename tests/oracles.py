@@ -6,7 +6,8 @@ the moment transfer evaluation, the path/paving pair model that the
 merge identities are stated against, a plain dict-of-Fraction
 three-term recurrence for the oracle's expansions and moments, and the
 classical closed-form linearizations of He_n, U_n, monic Legendre P_n,
-physicists' Hermite H_n and Chebyshev T_n, the last two with their norms.
+physicists' Hermite H_n and Chebyshev T_n, the last two with their norms,
+and the moments of the shipped Chebyshev-like and Hermite-like systems.
 """
 
 from fractions import Fraction
@@ -138,6 +139,23 @@ def recurrence_moments(count, sys):
         vec = _times_x(vec, sys)
         mus.append(vec.get(0, Fraction(0)))
     return mus
+
+
+def chebyshev_like_moment(n):
+    """mu_n of alpha = gamma = 1, beta = 0 (monic U_n at x/2): the Catalan
+    number C_{n/2} for even n, 0 for odd n."""
+    return 0 if n % 2 else comb(n, n // 2) // (n // 2 + 1)
+
+
+def hermite_like_moment(n):
+    """mu_n of alpha = 1, beta = 0, gamma[j] = j + 1 (monic He_n): the double
+    factorial (n - 1)!! = 1 * 3 * ... * (n - 1) for even n, 0 for odd n."""
+    if n % 2:
+        return 0
+    out = 1
+    for odd in range(1, n, 2):
+        out *= odd
+    return out
 
 
 def hermite_linearization(m, n):

@@ -10,7 +10,8 @@ which stays the reference: the census sums to ``path_sum_monic``,
 and a symbolic pair.  A walk reads further ahead than one instance does,
 so where an instance raises (an index past a short sequence, symbolic
 meeting non-integer scalars), reading that length raises the same error
-with the same message, and every other length still reads its value.
+with the same message, and every other length still reads its value;
+the merged table's census and DP too, against ``path_weight_merged``.
 """
 
 import sys
@@ -34,11 +35,13 @@ from orthopath import (
     monic_system,
     path_sum_mixed,
     path_sum_monic,
+    path_weight_merged,
     path_weight_mixed,
     path_weight_monic,
     scalar_sum,
     strict_monic_weight_sum,
 )
+import orthopath.weights as weights_mod
 from orthopath.weights import dp_walk, mixed_census, monic_census
 from conftest import SYSTEMS_DIR, random_monic, random_system_pair
 
@@ -168,9 +171,25 @@ def monic_weight_sum(m, n, k, b, lam):
                        for p in enumerate_paths(m, n, k, boundary_dips=True)])
 
 
-def mixed_weight_sum(m, n, k, sys, prime):
-    return scalar_sum([path_weight_mixed(p, sys, prime)
-                       for p in enumerate_paths(m, n, k, allow_hh=True)])
+def mixed_weight_sum(m, n, k, sys, prime, weigh=path_weight_mixed):
+    return scalar_sum([weigh(p, sys, prime) for p in enumerate_paths(m, n, k, allow_hh=True)])
+
+
+def check_merged_outcomes(sys, prime, top=5):
+    """``check_outcomes`` on the merged table's census and DP."""
+    table = weights_mod._two_family_table(sys, prime, merged=True)
+
+    def census(m, n, top):
+        found = weights_mod._census(table, m, n, top)
+        return lambda k: found(k)[0]
+
+    return check_outcomes(
+        census,
+        lambda m, n, top: dp_walk(m, n, top, "merged", sys, prime),
+        lambda m, n, k: mixed_weight_sum(m, n, k, sys, prime, path_weight_merged),
+        lambda m, n, k: dp_sum(m, n, k, "merged", sys, prime),
+        top,
+    )
 
 
 def check_outcomes(census, dp, reference_sum, reference_dp, top=5):
@@ -223,6 +242,25 @@ def test_a_short_two_family_system_raises_at_the_lengths_its_instances_do(length
         lambda m, n, k: dp_sum(m, n, k, "mixed", sys, prime),
     )
     assert raised and len(raised) < 6 ** 3
+
+
+@pytest.mark.parametrize("length", range(2, 9))
+@pytest.mark.parametrize("role", ["system", "prime", "both"])
+def test_a_short_system_raises_at_the_lengths_its_merged_instances_do(length, role):
+    short, full = short_system(length), shipped("monotone")
+    sys, prime = {"system": (short, full), "prime": (full, short), "both": (short, short)}[role]
+    raised = check_merged_outcomes(sys, prime)
+    assert len(raised) < 6 ** 3
+    # to length 5, merged reads the second family at x <= 4 only, and the
+    # first at levels up to (5 + 5 + 5) // 2 = 7
+    assert bool(raised) == (length <= (4 if role == "prime" else 7))
+
+
+@pytest.mark.parametrize("order", ["symbolic first", "rational first"])
+def test_symbolic_with_rational_raises_at_the_lengths_its_merged_instances_do(order):
+    sym, rat = shipped("symbolic_monic"), shipped("rational_monic")
+    raised = check_merged_outcomes(*((sym, rat) if order == "symbolic first" else (rat, sym)), 3)
+    assert raised and len(raised) < 4 ** 3
 
 
 @pytest.mark.parametrize("order", ["symbolic first", "rational first"])

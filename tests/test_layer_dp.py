@@ -5,10 +5,11 @@
 level by level (``_dp_states``) otherwise.  The per-state pass is the
 reference here: the layer pass must give its totals at every length,
 None where no path exists, on every shipped numeric system and pair and
-on seeded explicit rationals like the deep benchmark's.  A short
-sequence with a placeholder within reach, and a table holding a
-``Poly``, must take the per-state pass.  The sha256 pins of the large
-``lincoef`` runs were taken before the layer pass existed.
+on seeded explicit rationals like the deep benchmark's.  A table holding
+a ``Poly`` must take the per-state pass, and so must a length past the
+safe one, where a short sequence's placeholder lies within reach.  The
+sha256 pins of the large ``lincoef`` runs were taken before the layer
+pass existed.
 """
 
 import hashlib
@@ -21,12 +22,12 @@ import pytest
 
 import orthopath.weights as weights_mod
 from orthopath import (
-    CoefficientSystem, ExplicitSeq, SequenceRangeError, dp_sum, load_system, monic_b_lambda,
-    monic_system,
+    CoefficientSystem, ExplicitSeq, SequenceRangeError, dp_sum, enumerate_paths, load_system,
+    monic_b_lambda, monic_system, path_weight_merged,
 )
 from orthopath.cli import main
-from orthopath.systems import _integral, _scaled
-from orthopath.weights import dp_walk, monic_census
+from orthopath.systems import _scaled
+from orthopath.weights import dp_walk, mixed_listing, monic_census
 from conftest import SYSTEMS_DIR
 
 NUMERIC = ("chebyshev_like", "hermite_like", "monotone", "monotone_monic",
@@ -38,20 +39,20 @@ def shipped(name):
     return load_system(str(SYSTEMS_DIR / f"{name}.json"))
 
 
-def table_and_bound(weights, m, n, top, sys_=None, prime=None):
-    """The table and index bound ``dp_walk`` hands ``_dp``."""
+def dp_table(weights, m, n, top, sys_=None, prime=None):
+    """The table ``dp_walk`` hands ``_dp``."""
     if weights == "count":
-        return weights_mod._COUNT, 0
+        return weights_mod._COUNT
     if weights == "monic":
-        bound = weights_mod._monic_bound(m, n, top)
-        return weights_mod._monic_table(*monic_b_lambda(sys_, bound)), bound
-    return weights_mod._two_family_table(sys_, prime, merged=weights == "merged"), m + top + 1
+        return weights_mod._monic_table(*monic_b_lambda(sys_, weights_mod._monic_bound(m, n, top)))
+    return weights_mod._two_family_table(sys_, prime, merged=weights == "merged")
 
 
 def assert_passes_agree(weights, m, n, top, sys_=None, prime=None):
-    table, bound = table_and_bound(weights, m, n, top, sys_, prime)
-    coeffs, _ = _scaled(table, table.coefficients(bound), table.degrees)
-    assert _integral(table) > bound
+    table = dp_table(weights, m, n, top, sys_, prime)
+    coeffs, _ = _scaled(table, table.coefficients(table.bound(m, n, top)), table.degrees)
+    # every length is safe, and every coefficient read an int
+    assert weights_mod._safe_top(table, m, n, top) == top and not table.symbolic
     layers = weights_mod._dp_layers(table, m, n, top, coeffs)
     states = weights_mod._dp_states(table, m, n, top, coeffs)
     for k in range(top + 1):
@@ -120,11 +121,22 @@ def short_monic(length):
 def test_a_placeholder_within_reach_takes_the_per_state_pass(monkeypatch):
     calls = counted_passes(monkeypatch)
     sys_ = short_monic(5)
-    walk = dp_walk(1, 1, 8, "monic", sys_)  # index bound 8, past the sequences' end
-    assert calls == {"_dp_states": 1}
+    # index bound 8, past the sequences' end at 5: lengths up to 4, whose
+    # bound is 4, take one layer pass
+    walk = dp_walk(1, 1, 8, "monic", sys_)
+    assert calls == {"_dp_layers": 1}
     assert walk(2) == dp_walk(1, 1, 2, "monic", short_monic(5))(2)
+    assert walk(4) == dp_walk(1, 1, 4, "monic", short_monic(5))(4)
+    want = dp_sum(1, 1, 5, "monic", short_monic(5))
+    calls.clear()
+    # a later length is walked alone, when it is read, by the per-state
+    # pass: length 5 reads no index past the end, length 8 does
+    assert walk(5) == want
+    assert calls == {"_dp_states": 1}
+    calls.clear()
     with pytest.raises(SequenceRangeError):
         walk(8)
+    assert calls == {"_dp_states": 1}
     calls.clear()
     # the same coefficients, now materialized past the sequence's end:
     # only indices 0..bound decide
@@ -199,13 +211,40 @@ def test_the_layer_pass_skips_dropped_monomials_and_levels_below_a_floor(monkeyp
     total = dp_sum(3, 3, 6, "merged", sys_, prime)
     assert {tag for tag, _, _ in calls} == {"H", "U:g", "D:a", "HH:-g'"}
     merged = weights_mod._two_family_table(sys_, prime, merged=True)
-    assert total == weights_mod._census(merged, 3, 3, 6, 10)[6][0]
+    assert total == weights_mod._census(merged, 3, 3, 6)(6)[0]
     calls.clear()
     dp_sum(1, 1, 6, "mixed", sys_, prime)
     levels = lambda tag: {j for t, _, j in calls if t == tag}
     # an HH leaves level 0, where HH:a does not exist
     assert levels("HH:g") - levels("HH:a") == {0}
     assert set(calls.values()) == {1}
+
+
+def test_merged_evaluates_no_marked_monomial(monkeypatch):
+    calls = counted_table(monkeypatch, "_TWO_FAMILY")
+    unmarked = {"H", "U:g", "D:a", "HH:-g'"}
+    # each route on fresh instances, whose tables share no factor memo: the
+    # fold, the listing's walk, the census's walk, the layer pass, and the
+    # per-state pass on a Poly pair and past a short sequence's end
+    routes = {
+        "fold": lambda sys_, prime: [path_weight_merged(p, sys_, prime)
+                                     for p in enumerate_paths(2, 2, 6, allow_hh=True)],
+        "walk": lambda sys_, prime: list(mixed_listing(2, 2, 6, sys_, prime, merged=True)),
+        "census": lambda sys_, prime: weights_mod._census(
+            weights_mod._two_family_table(sys_, prime, merged=True), 2, 2, 6)(6),
+        "dp": lambda sys_, prime: dp_sum(2, 2, 6, "merged", sys_, prime),
+    }
+    for name, route in routes.items():
+        calls.clear()
+        route(shipped("monotone"), shipped("monotone_prime"))
+        assert {tag for tag, _, _ in calls} == unmarked, name
+    calls.clear()
+    states = counted_passes(monkeypatch)
+    dp_sum(2, 2, 6, "merged", shipped("symbolic_pair"), shipped("symbolic_pair_prime"))
+    short = CoefficientSystem(*(ExplicitSeq(tuple(range(1, 6))) for _ in range(3)))
+    dp_walk(2, 2, 8, "merged", shipped("monotone"), short)(5)  # reads no index past 4
+    assert states == {"_dp_states": 2, "_dp_layers": 1}
+    assert {tag for tag, _, _ in calls} == unmarked
 
 
 RATIONAL_MONIC = str(SYSTEMS_DIR / "rational_monic.json")

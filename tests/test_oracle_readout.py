@@ -7,7 +7,9 @@ target.  They and the norms are held here to plain ``Fraction`` products
 (``test_oracle_reference.norm``) on every shipped numeric system and pair
 and on seeded rationals of deep size, and to the closed forms of
 physicists' Hermite H_n and Chebyshev T_n, where ``lincoef --method mixed``
-must print the same values.  The plain products' errors stay where they
+must print the same values, and ``moments`` on the shipped Chebyshev-like
+and Hermite-like systems to the Catalan numbers and the double factorials.
+The plain products' errors stay where they
 were, and a norm the plain products gave as an ``int`` is still one, so a
 ``Poly`` can still multiply it.
 
@@ -33,8 +35,8 @@ from orthopath.cli import main
 from orthopath.scalars import Poly
 from conftest import SYSTEMS_DIR
 from oracles import (
-    chebyshev_t_linearization, chebyshev_t_norm, hermite_h_linearization, hermite_h_norm,
-    recurrence_products,
+    chebyshev_like_moment, chebyshev_t_linearization, chebyshev_t_norm, hermite_h_linearization,
+    hermite_h_norm, hermite_like_moment, recurrence_products,
 )
 from test_oracle_reference import norm, with_l_values
 
@@ -222,3 +224,21 @@ def test_non_monic_tables_at_size_30_are_pinned(capsys, command, fmt):
     assert main(ARGV[command] + ["--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command, fmt]
+
+
+# -- moments ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("name, moment", [("chebyshev_like", chebyshev_like_moment),
+                                          ("hermite_like", hermite_like_moment)])
+def test_moments_are_the_closed_forms(capsys, name, moment, fmt):
+    code = main(["moments", "--max", "40", "--system", str(SYSTEMS_DIR / f"{name}.json"),
+                 "--format", fmt])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    if fmt == "records":
+        got = [(rec["n"], rec["mu"]) for rec in map(json.loads, lines)]
+    else:
+        assert lines[0].split() == ["n", "mu_n"]
+        got = [(int(n), mu) for n, mu in map(str.split, lines[1:])]
+    assert got == [(n, str(moment(n))) for n in range(41)]

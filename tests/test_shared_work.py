@@ -10,7 +10,8 @@ the moment chain is walked once.  The sha256 pins hold ``verify`` and
 ``moments`` output, and each command's table and records renderings to
 fixed bytes, so later performance or renderer work cannot change them; a
 streamed ``verify`` keeps what it printed before an error, and stops on a
-short system at the record where it always did.
+short system, monic or not, or on a symbolic × non-integer pair, at the
+record where it always did, with the same error.
 """
 
 import hashlib
@@ -534,32 +535,67 @@ def short_system(length):
             for name, lo in (("alpha", 1), ("beta", 0), ("gamma", 2))}
 
 
-# verify --max 6 --method mixed on short explicit systems: how many records
-# stream before the first instance that reads past the end, and their bytes.
-# The census reads further ahead than one instance, so it must fail no earlier.
+def short_monic_system(length):
+    """alpha = 1, beta = 0..L-1, gamma = 2..L+1: explicit lists of length L."""
+    return {"alpha": {"family": "constant", "value": "1"},
+            "beta": _explicit(*map(str, range(length))),
+            "gamma": _explicit(*map(str, range(2, length + 2)))}
+
+
+# verify on inputs that fail part-way: how many records stream before the
+# first instance that reads past the end (or meets a symbolic and a
+# non-integer scalar), their bytes, and the error.  The census and the DP
+# read further ahead than one instance, so they must fail no earlier.
 SHORT_VERIFY = {
-    # (length, role): the short system as both --system and --system-prime,
-    # or as --system-prime with monotone.json
+    # (length, role): (records, stdout sha256, stderr).  --max 6 --method
+    # mixed with the short system as both --system and --system-prime
+    # ("both"), or as --system-prime with monotone.json ("prime");
     (9, "both"): (612, "c4d79da37013f79682c3c1f657b5cf7e8c10d2f71c58ec8fa843f848f7a43647"),
     (10, "both"): (808, "fa8cc9ad4d1965fc5d460fcab1aebdf67ffa17a9f9d776a19ecd002ac11c05d4"),
     (11, "both"): (1004, "6f3bf71e5a6cc3c56fcf5f660239e2b999eb6348ff89331f768338622167874a"),
     (12, "both"): (1200, "561b10d8bceeebfad43652f6f8d35c1de09964e71aa378bbd1e0497f312fc272"),
     (5, "prime"): (20, "0361e76c9384eba01e21e34a5ee77c7326b240ee361614a73ac11931ac933b3c"),
     (6, "prime"): (24, "952409537e1a20fb2296884b610da26816bfdfed57f217acb62f528254f86a36"),
+    # --max 6 --method monic or all on a short monic system;
+    (2, "monic"): (12, "7b7929b82f7ecea7f5b473ffd3cdb60fd4feb496bf1099db76d6cb5ab4570380"),
+    (5, "monic"): (24, "011dfada5a2fb930ea1648b9e7eb52c2721ea9e5f553dee1b2bc65f0b78d37bd"),
+    (6, "monic"): (364, "71227a6c8c2cedf0d902708736d9ee294f93dfb99a388a3dde3ec9f246114f84"),
+    (8, "monic"): (756, "9fb3ef2c05c8e5355aeaa5154b5e39c8e674db3d7d9cf717128356312259ba34"),
+    (11, "monic"): (1344, "545fcb569cd1b454af0f934e9ad44d0ab2ec4b8314b18f999925e0e0725ecff0"),
+    (6, "all"): (364, "71227a6c8c2cedf0d902708736d9ee294f93dfb99a388a3dde3ec9f246114f84"),
+    (11, "all"): (1344, "545fcb569cd1b454af0f934e9ad44d0ab2ec4b8314b18f999925e0e0725ecff0"),
+    # --max 3 --method mixed on symbolic_monic.json and rational_monic.json,
+    # in the order named (no short sequence)
+    (None, "symbolic-rational"): (
+        4, "2dc7181a1c663f10bfc41cd089347a2eee4ca2e3e240ae8a11d75ecaa6471aaa",
+        "error: cannot mix symbolic polynomials with non-integer numerics\n"),
+    (None, "rational-symbolic"): (
+        4, "2dc7181a1c663f10bfc41cd089347a2eee4ca2e3e240ae8a11d75ecaa6471aaa",
+        "error: cannot mix symbolic polynomials with non-integer numerics\n"),
 }
 
 
-@pytest.mark.parametrize("length, role", sorted(SHORT_VERIFY))
-def test_verify_on_a_short_system_fails_where_it_did(capsys, tmp_path, length, role):
+def short_verify_argv(tmp_path, length, role):
+    if length is None:
+        first, second = (SYMBOLIC, RATIONAL_MONIC)[:: 1 if role == "symbolic-rational" else -1]
+        return ["--max", "3", "--method", "mixed", "--system", first, "--system-prime", second]
     path = tmp_path / f"short{length}.json"
+    if role in ("monic", "all"):
+        path.write_text(json.dumps(short_monic_system(length)))
+        return ["--max", "6", "--method", role, "--system", str(path)]
     path.write_text(json.dumps(short_system(length)))
-    main_system = str(path) if role == "both" else MONOTONE
-    code = main(["verify", "--max", "6", "--method", "mixed", "--system", main_system,
-                 "--system-prime", str(path), "--format", "records"])
+    return ["--max", "6", "--method", "mixed", "--system", str(path) if role == "both" else MONOTONE,
+            "--system-prime", str(path)]
+
+
+@pytest.mark.parametrize("length, role", sorted(SHORT_VERIFY, key=str))
+def test_verify_on_a_short_system_fails_where_it_did(capsys, tmp_path, length, role):
+    code = main(["verify", *short_verify_argv(tmp_path, length, role), "--format", "records"])
     out = capsys.readouterr()
-    records, digest = SHORT_VERIFY[length, role]
+    records, digest, *err = SHORT_VERIFY[length, role]
     assert code == 2
-    assert out.err == f"error: index {length} outside explicit sequence of length {length}\n"
+    assert out.err == (err[0] if err else
+                       f"error: index {length} outside explicit sequence of length {length}\n")
     assert len(out.out.splitlines()) == records
     assert hashlib.sha256(out.out.encode()).hexdigest() == digest
 
